@@ -23,7 +23,7 @@ from . import synth as S
 from .config import (PROFILES, apply_overrides, load_config_file,
                      profile_config)
 from .exceptions import ConfigError, SeqrelError
-from .ioutil import canonical_json, write_json_atomic
+from .ioutil import canonical_json, write_json_atomic, write_text_atomic
 
 
 def _fail(exc: SeqrelError) -> None:
@@ -46,6 +46,10 @@ def guarded(fn):
     return wrapper
 
 
+out_dir_option = click.option("--out-dir", default="out", type=click.Path(),
+                              show_default=True)
+
+
 def config_options(fn):
     options = [
         click.option("--profile", default="fraud",
@@ -56,8 +60,7 @@ def config_options(fn):
         click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                      help="override one config key"),
         click.option("--seed", type=int, default=None, help="override seed"),
-        click.option("--out-dir", default="out", type=click.Path(),
-                     show_default=True),
+        out_dir_option,
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -96,7 +99,7 @@ def main():
 @click.option("--task", default="classification",
               type=click.Choice(["classification", "regression"]))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", default="out", type=click.Path(), show_default=True)
+@out_dir_option
 @guarded
 def gen_synth(**kw):
     """Generate a labeled synthetic corpus with planted group structure."""
@@ -146,21 +149,6 @@ def embed(encoder_path, data_path, out_name, profile, config_path, overrides,
     encoder_path = encoder_path or Path(out_dir) / P.ENCODER_FILE
     result = P.run_embed(cfg, encoder_path, data_path, out_dir, out_name)
     click.echo(f"wrote {result['embeddings_path']} ({result['count']} rows)")
-
-
-@main.command("build-graph")
-@click.option("--embeddings", "embeddings_path", default=None,
-              type=click.Path())
-@config_options
-@guarded
-def build_graph(embeddings_path, profile, config_path, overrides, seed,
-                out_dir):
-    """Build the full relation graph over embeddings (diagnostic artifact)."""
-    cfg = build_config(profile, config_path, overrides, seed)
-    embeddings_path = embeddings_path or Path(out_dir) / P.EMBEDDINGS_FILE
-    result = P.run_build_graph(cfg, embeddings_path, out_dir)
-    click.echo(f"wrote {result['edges_path']} ({result['num_edges']} edges "
-               f"over {result['num_nodes']} nodes)")
 
 
 @main.command("compress")
@@ -249,12 +237,10 @@ def _load_inputs(input_path, as_embeddings):
 @click.option("--embeddings", "as_embeddings", is_flag=True,
               help="input is an embeddings CSV, skip the encoder")
 @click.option("--output", "output_path", default=None, type=click.Path())
-@config_options
+@out_dir_option
 @guarded
-def infer(bundle_path, input_path, as_embeddings, output_path, profile,
-          config_path, overrides, seed, out_dir):
+def infer(bundle_path, input_path, as_embeddings, output_path, out_dir):
     """Score new sequences against a deployed bundle (JSONL out)."""
-    build_config(profile, config_path, overrides, seed)
     bundle_path = bundle_path or Path(out_dir) / P.BUNDLE_FILE
     bundle = I.load_bundle(P.require_file(bundle_path, "finetune"))
     ids, inputs = _load_inputs(input_path, as_embeddings)
@@ -268,8 +254,6 @@ def infer(bundle_path, input_path, as_embeddings, output_path, profile,
     if output_path is None:
         click.echo(text, nl=False)
     else:
-        from .ioutil import write_text_atomic
-
         write_text_atomic(output_path, text)
     click.echo(f"scored {agg['count']} inputs, mean {agg['mean_s']:.2e}s "
                f"p99 {agg['p99_s']:.2e}s per sample", err=True)
@@ -281,12 +265,10 @@ def infer(bundle_path, input_path, as_embeddings, output_path, profile,
               help="JSONL records, or - for stdin")
 @click.option("--embeddings", "as_embeddings", is_flag=True)
 @click.option("--top-r", type=int, default=5, show_default=True)
-@config_options
+@out_dir_option
 @guarded
-def explain(bundle_path, input_path, as_embeddings, top_r, profile,
-            config_path, overrides, seed, out_dir):
+def explain(bundle_path, input_path, as_embeddings, top_r, out_dir):
     """Rank representative training sequences most similar to each input."""
-    build_config(profile, config_path, overrides, seed)
     bundle_path = bundle_path or Path(out_dir) / P.BUNDLE_FILE
     bundle = I.load_bundle(P.require_file(bundle_path, "finetune"))
     ids, inputs = _load_inputs(input_path, as_embeddings)

@@ -15,16 +15,12 @@ from .exceptions import ConfigError, ParseError
 from .gnn import CONV_KINDS
 from .graph import METRICS
 
-GRAPH_KINDS = ("epsilon", "knn")
-
 
 @dataclass
 class PipelineConfig:
     task: str = D.CLASSIFICATION
     metric: str = "cosine"
     epsilon: float = 0.95
-    graph_kind: str = "epsilon"
-    knn_k: int = 10
     clusters: int = 500
     pos_ratio: float = 0.3
     mode: str = "centroid"
@@ -48,8 +44,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.graph_kind not in GRAPH_KINDS:
-            raise ConfigError(f"unknown graph_kind {self.graph_kind!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.conv not in CONV_KINDS:
@@ -58,7 +52,7 @@ class PipelineConfig:
             raise ConfigError(f"epsilon must lie in [-1, 1], got {self.epsilon}")
         if not 0.0 < self.pos_ratio < 1.0:
             raise ConfigError(f"pos_ratio must lie in (0, 1), got {self.pos_ratio}")
-        for name in ("knn_k", "clusters", "embed_dim", "gnn_hidden", "batch_size",
+        for name in ("clusters", "embed_dim", "gnn_hidden", "batch_size",
                      "fallback_m"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

@@ -9,6 +9,7 @@ exactly: floats are written with repr precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,12 +237,17 @@ def _validate_record(obj, line: int, require_label: bool) -> Record:
                 raise ParseError(
                     f"record {obj['id']!r} field {k!r} has unsupported value type "
                     f"{type(v).__name__}", line=line)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ParseError(
+                    f"record {obj['id']!r} field {k!r} is not finite", line=line)
     label = obj.get("label")
     if label is None:
         if require_label:
             raise ParseError(f"record {obj['id']!r} is missing 'label'", line=line)
-    elif not _is_number(label):
-        raise ParseError(f"record {obj['id']!r} label must be a number", line=line)
+    elif not _is_number(label) or (isinstance(label, float)
+                                   and not math.isfinite(label)):
+        raise ParseError(f"record {obj['id']!r} label must be a finite number",
+                         line=line)
     return Record(id=obj["id"], events=events, label=label)
 
 
@@ -293,9 +299,12 @@ def _parse_label(token: str, line: int):
     except ValueError:
         pass
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad label {token!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite label {token!r}", line=line)
+    return value
 
 
 def save_embeddings(path: str | Path, ids: list[str], x: np.ndarray, labels) -> None:
@@ -330,6 +339,7 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray, list]:
         ids: list[str] = []
         labels: list = []
         values: list[list[float]] = []
+        line_nos: list[int] = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -343,9 +353,15 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray, list]:
             except ValueError:
                 raise ParseError("non-numeric embedding cell", line=line_no) from None
             labels.append(_parse_label(cells[-1], line_no))
+            line_nos.append(line_no)
     if not ids:
         raise EmptyInputError(f"{path} has a header but no rows")
-    return ids, np.array(values, dtype=np.float64), labels
+    x = np.array(values, dtype=np.float64)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite embedding cell",
+                         line=line_nos[int(np.argmin(finite))])
+    return ids, x, labels
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .data import (
     encode_record,
     fit_field_schema,
 )
-from .exceptions import DimensionError, TaskMismatchError
+from .exceptions import TaskMismatchError
 from .ioutil import read_json, write_json_atomic
 
 GATES = ("i", "f", "o", "g")
@@ -98,19 +98,6 @@ def encode_sequence(model: EncoderModel, record: Record) -> np.ndarray:
 def embed_all(model: EncoderModel, dataset: SequenceDataset) -> np.ndarray:
     """Row i is exactly encode_sequence(record i); a pure per-record map."""
     return np.stack([encode_sequence(model, r) for r in dataset.records])
-
-
-def predict_head_seq(model: EncoderModel, h: np.ndarray):
-    """Probability vector (classification) or scalar (regression)."""
-    h = np.asarray(h, dtype=np.float64).reshape(1, -1)
-    if h.shape[1] != model.hidden_dim:
-        raise DimensionError(f"embedding length {h.shape[1]} != hidden_dim {model.hidden_dim}")
-    logits = h @ model.weights["w_head"] + model.weights["b_head"]
-    if model.task == CLASSIFICATION:
-        shifted = logits - logits.max()
-        ex = np.exp(shifted)
-        return (ex / ex.sum())[0]
-    return float(logits[0, 0])
 
 
 # ---------------------------------------------------------------------------

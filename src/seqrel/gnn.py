@@ -210,12 +210,6 @@ def forward_view(model: GnnModel, view: GraphView) -> np.ndarray:
     return gnn_forward(_params_of(model), model.kind, view).data
 
 
-def gnn_predict(model: GnnModel, w: np.ndarray) -> np.ndarray:
-    """Head over precomputed representations: probability rows or values."""
-    return predict_tensor(_params_of(model), T.constant(np.asarray(w, dtype=np.float64)),
-                          model.task).data
-
-
 def predict_view(model: GnnModel, view: GraphView) -> np.ndarray:
     params = _params_of(model)
     return predict_tensor(params, gnn_forward(params, model.kind, view), model.task).data

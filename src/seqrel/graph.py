@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError, ParameterError, ParseError
-from .ioutil import write_text_atomic
+from .exceptions import DataError, DimensionError, ParameterError
 
 COSINE = "cosine"
 PEARSON = "pearson"
@@ -70,15 +69,6 @@ def prep_rows(x: np.ndarray, metric: str) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     out = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
     return out
-
-
-def similarity(x, y, metric: str = COSINE) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != y.shape[1]:
-        raise DimensionError(f"similarity length mismatch: {x.shape[1]} vs {y.shape[1]}")
-    score = float((prep_rows(x, metric) @ prep_rows(y, metric).T)[0, 0])
-    return min(max(score, -1.0), 1.0)
 
 
 def similarity_matrix(a: np.ndarray, b: np.ndarray, metric: str = COSINE) -> np.ndarray:
@@ -177,33 +167,3 @@ def connect_to_compressed(x_query: np.ndarray, x_comp: np.ndarray, metric: str,
         out.append(edges)
     return np.concatenate(out) if out else _empty_edges()
 
-
-# ---------------------------------------------------------------------------
-# edge-list file format
-
-
-def save_edges(path, edges: np.ndarray) -> None:
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    lines = ["src,dst"]
-    lines.extend(f"{int(a)},{int(b)}" for a, b in edges)
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_edges(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "src,dst":
-            raise ParseError(f"bad edge header {header!r}", line=1)
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 cells, found {len(parts)}", line=line_no)
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError("non-integer edge endpoint", line=line_no) from None
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)

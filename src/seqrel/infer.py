@@ -19,7 +19,7 @@ from . import compress as C
 from . import data as D
 from . import encoder as E
 from . import gnn as G
-from .exceptions import BundleIntegrityError, ParameterError, SeqrelError
+from .exceptions import BundleIntegrityError, DataError, ParameterError, SeqrelError
 from .graph import METRICS, connect_from_sims, prep_rows
 from .ioutil import read_json, write_json_atomic
 
@@ -28,7 +28,10 @@ BUNDLE_FORMAT_VERSION = 1
 
 @dataclass
 class DeployBundle:
-    """Immutable inference artifact; treat all fields as read-only."""
+    """Immutable inference artifact; treat all fields as read-only.
+
+    Construction validates the parts and derives all per-call scoring state,
+    so scoring and explaining never write to the bundle."""
 
     encoder: "E.EncoderModel | None"
     gnn: G.GnnModel
@@ -38,8 +41,13 @@ class DeployBundle:
     fallback_m: int
     task: str
     # per-call scoring reuses these; derived from cg, never serialized
-    _comp_prepped: "np.ndarray | None" = field(default=None, repr=False, compare=False)
-    _comp_degrees: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+    _comp_prepped: np.ndarray = field(init=False, repr=False, compare=False)
+    _comp_degrees: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _validate_bundle(self)
+        self._comp_prepped = prep_rows(self.cg.features, self.metric)
+        self._comp_degrees = self.cg.degrees()
 
 
 @dataclass
@@ -60,13 +68,11 @@ class Explanation:
 
 def build_bundle(encoder, gnn, cg, metric=None, epsilon=None,
                  fallback_m: int = 1) -> DeployBundle:
-    bundle = DeployBundle(
+    return DeployBundle(
         encoder=encoder, gnn=gnn, cg=cg,
         metric=cg.metric if metric is None else metric,
         epsilon=cg.epsilon if epsilon is None else epsilon,
         fallback_m=fallback_m, task=cg.task)
-    _validate_bundle(bundle)
-    return bundle
 
 
 def _validate_bundle(b: DeployBundle) -> None:
@@ -105,12 +111,16 @@ def _embed_input(b: DeployBundle, record):
                 "bundle has no encoder; provide precomputed embeddings")
         start = time.perf_counter()
         h = E.encode_sequence(b.encoder, record)
-        return record.id, h.reshape(1, -1), time.perf_counter() - start
-    vec = np.asarray(record, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != b.cg.dim:
-        raise BundleIntegrityError(
-            f"embedding has width {vec.shape[0]}, bundle expects {b.cg.dim}")
-    return None, vec.reshape(1, -1), 0.0
+        rid, encode_s = record.id, time.perf_counter() - start
+    else:
+        h = np.asarray(record, dtype=np.float64).reshape(-1)
+        if h.shape[0] != b.cg.dim:
+            raise BundleIntegrityError(
+                f"embedding has width {h.shape[0]}, bundle expects {b.cg.dim}")
+        rid, encode_s = None, 0.0
+    if not np.isfinite(h).all():
+        raise DataError("embedding has non-finite values")
+    return rid, h.reshape(1, -1), encode_s
 
 
 def _positive_score(b: DeployBundle, row: np.ndarray) -> float:
@@ -119,27 +129,28 @@ def _positive_score(b: DeployBundle, row: np.ndarray) -> float:
     return float(row[0])
 
 
-def _query_sims(b: DeployBundle, h: np.ndarray) -> np.ndarray:
-    """Similarities of embedding rows against every compressed node;
-    matches similarity_matrix(h, cg.features, metric) bit for bit."""
-    if b._comp_prepped is None:
-        b._comp_prepped = prep_rows(b.cg.features, b.metric)
-        b._comp_degrees = b.cg.degrees()
-    return np.clip(prep_rows(h, b.metric) @ b._comp_prepped.T, -1.0, 1.0)
+def _embed_and_connect(b: DeployBundle, record):
+    """Embed one input and wire it to the compressed nodes.
+
+    Returns (record id or None, embedding row (1, D), similarity row (K,),
+    edges, timing with encode_s and connect_s). The similarity row matches
+    similarity_matrix(h, cg.features, metric) bit for bit."""
+    rid, h, encode_s = _embed_input(b, record)
+    start = time.perf_counter()
+    sims = np.clip(prep_rows(h, b.metric) @ b._comp_prepped.T, -1.0, 1.0)
+    edges = connect_from_sims(sims, b.epsilon, b.fallback_m)
+    timing = {"encode_s": encode_s, "connect_s": time.perf_counter() - start}
+    return rid, h, sims[0], edges, timing
 
 
 def score(b: DeployBundle, record) -> ScoreResult:
     """Embed, connect, and run one relation-model step for a single input."""
-    rid, h, encode_s = _embed_input(b, record)
-    start = time.perf_counter()
-    edges = connect_from_sims(_query_sims(b, h), b.epsilon, b.fallback_m)
-    connect_s = time.perf_counter() - start
+    rid, h, _, edges, timing = _embed_and_connect(b, record)
     start = time.perf_counter()
     out = G.predict_view(b.gnn, G.attach_view(b.cg, h, edges,
                                               comp_degrees=b._comp_degrees))
-    gnn_s = time.perf_counter() - start
-    timing = {"encode_s": encode_s, "connect_s": connect_s, "gnn_s": gnn_s,
-              "total_s": encode_s + connect_s + gnn_s}
+    timing["gnn_s"] = time.perf_counter() - start
+    timing["total_s"] = timing["encode_s"] + timing["connect_s"] + timing["gnn_s"]
     return ScoreResult(id=rid, score=_positive_score(b, out[0]),
                        output=out[0].tolist(), timing=timing)
 
@@ -166,10 +177,7 @@ def explain(b: DeployBundle, record, top_r: int = 5) -> list:
     each to its representative training sequence."""
     if top_r < 1:
         raise ParameterError(f"top_r must be at least 1, got {top_r}")
-    _, h, _ = _embed_input(b, record)
-    sim_rows = _query_sims(b, h)
-    sims = sim_rows[0]
-    edges = connect_from_sims(sim_rows, b.epsilon, b.fallback_m)
+    _, _, sims, edges, _ = _embed_and_connect(b, record)
     connected = set(edges[:, 1].tolist())
     order = np.argsort(-sims, kind="stable")[:min(top_r, b.cg.k)]
     return [Explanation(cluster=int(j), representative_id=b.cg.medoid_ids[j],
@@ -202,7 +210,7 @@ def bundle_from_dict(obj: dict) -> DeployBundle:
         if obj.get("kind") != "deploy-bundle":
             raise BundleIntegrityError(f"not a deploy bundle: {obj.get('kind')!r}")
         conn = obj["connection"]
-        bundle = DeployBundle(
+        return DeployBundle(
             encoder=None if obj["encoder"] is None
             else E.encoder_from_dict(obj["encoder"]),
             gnn=G.gnn_from_dict(obj["gnn"]),
@@ -211,8 +219,6 @@ def bundle_from_dict(obj: dict) -> DeployBundle:
             fallback_m=int(conn["fallback_m"]), task=obj["task"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleIntegrityError(f"malformed bundle: {exc}") from exc
-    _validate_bundle(bundle)
-    return bundle
 
 
 def save_bundle(path, b: DeployBundle) -> None:

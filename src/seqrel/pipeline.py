@@ -22,7 +22,6 @@ from . import gnn as G
 from . import infer as I
 from .config import PipelineConfig
 from .exceptions import ArtifactError, TaskMismatchError
-from .graph import build_epsilon_graph, build_knn_graph, save_edges
 from .ioutil import sha256_file, write_json_atomic
 from .metrics import ScoredSet, auprc, recall_at_precision, rmse, smape
 
@@ -31,7 +30,6 @@ STAGE_TAGS = {"encoder": 1, "compress": 2, "gnn": 3, "finetune": 4}
 
 ENCODER_FILE = "encoder.json"
 EMBEDDINGS_FILE = "train_embeddings.csv"
-EDGES_FILE = "edges.csv"
 COMPRESSED_FILE = "compressed.json"
 GNN_FILE = "gnn.json"
 FINETUNED_FILE = "gnn_finetuned.json"
@@ -41,7 +39,6 @@ EVAL_FILE = "eval_report.json"
 PRODUCERS = {
     ENCODER_FILE: "train-encoder",
     EMBEDDINGS_FILE: "embed",
-    EDGES_FILE: "build-graph",
     COMPRESSED_FILE: "compress",
     GNN_FILE: "train-gnn",
     FINETUNED_FILE: "finetune",
@@ -126,24 +123,6 @@ def run_embed(cfg: PipelineConfig, encoder_path, data_path, out_dir,
     write_manifest(out_dir, "embed", cfg, {"embed_s": elapsed},
                    [encoder_path, data_path], [out])
     return {"embeddings_path": out, "count": len(ds.records)}
-
-
-def run_build_graph(cfg: PipelineConfig, embeddings_path, out_dir) -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, x, _ = D.load_embeddings(require_file(embeddings_path, "embed"))
-    start = time.perf_counter()
-    if cfg.graph_kind == "epsilon":
-        graph = build_epsilon_graph(x, cfg.metric, cfg.epsilon)
-    else:
-        graph = build_knn_graph(x, cfg.metric, cfg.knn_k)
-    elapsed = time.perf_counter() - start
-    out = out_dir / EDGES_FILE
-    save_edges(out, graph.edges)
-    write_manifest(out_dir, "build-graph", cfg, {"build_s": elapsed},
-                   [embeddings_path], [out])
-    return {"edges_path": out, "num_edges": graph.num_edges,
-            "num_nodes": graph.num_nodes}
 
 
 def run_compress(cfg: PipelineConfig, embeddings_path, out_dir) -> dict:

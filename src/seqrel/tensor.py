@@ -215,10 +215,6 @@ def _div_b_grad(g, a_data, b_data):
     return full
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    return _make(a.data * s, [(a, lambda g: g * s)])
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _make(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
@@ -247,20 +243,6 @@ def tanh(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _make(out, [(a, lambda g: g * out)])
-
-
-_ELEMENTWISE = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "leaky_relu": leaky_relu}
-
-
-def elementwise(op: str, a: Tensor, alpha: float = 0.01) -> Tensor:
-    """Dispatch by name; `leaky_relu` takes the negative-side slope."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise DimensionError(f"unknown elementwise op {op!r}") from None
-    if op == "leaky_relu":
-        return fn(a, alpha)
-    return fn(a)
 
 
 def row_softmax(a: Tensor) -> Tensor:

@@ -65,8 +65,7 @@ def test_infer_jsonl_output(workspace, tmp_path):
                          workspace["out"])
     result = runner.invoke(main, [
         "infer", "--bundle", str(out / P.BUNDLE_FILE),
-        "--input", str(data / "test.jsonl"), "--out-dir", str(out),
-        "--set", "embed_dim=8"])
+        "--input", str(data / "test.jsonl"), "--out-dir", str(out)])
     assert result.exit_code == 0, result.output
     lines = [ln for ln in result.output.splitlines() if ln.startswith("{")]
     assert len(lines) == 20
@@ -169,8 +168,41 @@ def test_config_error_exit_code_2(workspace, tmp_path):
 
 
 def test_unknown_option_exit_code_2(workspace):
-    result = workspace["runner"].invoke(main, ["compress", "--mystery"])
+    runner, out = workspace["runner"], workspace["out"]
+    result = runner.invoke(main, ["compress", "--mystery"])
     assert result.exit_code == 2
+    # serving commands take no config: a profile or override is an error
+    for command, flag in (("infer", ["--set", "x=1"]),
+                          ("explain", ["--profile", "fraud"])):
+        result = runner.invoke(main, [
+            command, "--bundle", str(out / P.BUNDLE_FILE),
+            "--input", str(workspace["data"] / "test.jsonl"), *flag])
+        assert result.exit_code == 2, (command, result.output)
+
+
+def test_infer_rejects_non_finite_jsonl(workspace, tmp_path):
+    runner, data, out = (workspace["runner"], workspace["data"],
+                         workspace["out"])
+    record = json.loads((data / "test.jsonl").read_text().splitlines()[0])
+    field = next(k for k, v in record["events"][0].items()
+                 if isinstance(v, float))
+    for token, where in (("NaN", "event"), ("Infinity", "event"),
+                         ("NaN", "label")):
+        text = json.dumps(record)
+        if where == "event":
+            text = text.replace(f'"{field}": {record["events"][0][field]!r}',
+                                f'"{field}": {token}', 1)
+        else:
+            text = text.replace(f'"label": {record["label"]!r}',
+                                f'"label": {token}', 1)
+        assert token in text
+        result = runner.invoke(main, [
+            "infer", "--bundle", str(out / P.BUNDLE_FILE), "--input", "-"],
+            input=text + "\n")
+        assert result.exit_code == 3, (token, where, result.output)
+        tail = json.loads(result.output.strip().splitlines()[-1])
+        assert tail["error"] == "ParseError"
+        assert "finite" in tail["message"]
 
 
 def test_config_file_applies(workspace, tmp_path):

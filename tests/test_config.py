@@ -72,6 +72,9 @@ def test_apply_overrides_rejects_bad_input():
         CF.apply_overrides(base, {"task": "ranking"})
     with pytest.raises(ConfigError):
         CF.apply_overrides(base, {"gnn_lr": "0"})
+    for removed in ("graph_kind", "knn_k"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            CF.apply_overrides(base, {removed: "1"})
 
 
 def test_config_file_round_trip(tmp_path):

@@ -171,6 +171,16 @@ def test_embeddings_non_numeric_cell_names_line(tmp_path):
         D.load_embeddings(path)
 
 
+@pytest.mark.parametrize("row", ["b,nan,1.0,0", "b,1.0,inf,0", "b,-inf,1.0,0",
+                                 "b,1.0,2.0,nan", "b,1.0,2.0,-Infinity"])
+def test_embeddings_non_finite_cell_names_line(tmp_path, row):
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,f0,f1,label\na,1.0,2.0,0\n\n{row}\n")
+    with pytest.raises(ParseError, match="line 4") as err:
+        D.load_embeddings(path)
+    assert err.value.exit_code == 3
+
+
 # ---------------------------------------------------------------------------
 # splits and demand CSV
 

@@ -56,20 +56,25 @@ def test_event_order_matters():
     assert not np.allclose(a, b)
 
 
+def head(model, h):
+    """The encoder's training-time head over embedding rows h."""
+    return E._head_tensor(E._as_tensors(model), T.constant(h), model.task).data
+
+
 def test_head_zero_weights():
     model = zero_model(num_classes=2)
-    assert np.allclose(E.predict_head_seq(model, np.zeros(3)), [0.5, 0.5])
+    assert np.allclose(head(model, np.zeros((1, 3))), [[0.5, 0.5]])
     reg = zero_model(task=D.REGRESSION, num_classes=1)
-    assert E.predict_head_seq(reg, np.zeros(3)) == 0.0
+    assert np.array_equal(head(reg, np.zeros((1, 3))), [[0.0]])
 
 
 def test_head_hand_value():
     model = zero_model(hidden=2, num_classes=2)
     model.weights["w_head"] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    h = np.array([1.0, 3.0])
+    h = np.array([[1.0, 3.0]])
     logits = np.array([1.0, 3.0])
     expect = np.exp(logits - 3.0) / np.exp(logits - 3.0).sum()
-    assert np.allclose(E.predict_head_seq(model, h), expect, atol=1e-12)
+    assert np.allclose(head(model, h), [expect], atol=1e-12)
 
 
 def test_embed_all_matches_per_record_calls():

@@ -68,14 +68,18 @@ def test_path_graph_matches_oracle(kind):
     assert np.allclose(out, expect, atol=1e-9)
 
 
+def head(m, w):
+    params = {k: T.Tensor(v) for k, v in m.weights.items()}
+    return G.predict_tensor(params, T.constant(w), m.task).data
+
+
 def test_predict_zero_head():
     m = model_for("gcn", hidden=4, out=2)
     m.weights["w_head"] = np.zeros((4, 2))
-    assert np.allclose(G.gnn_predict(m, np.random.default_rng(0).normal(size=(5, 4))),
-                       0.5)
+    assert np.allclose(head(m, np.random.default_rng(0).normal(size=(5, 4))), 0.5)
     reg = model_for("gcn", hidden=4, out=1, task="regression")
     reg.weights["w_head"] = np.zeros((4, 1))
-    assert np.array_equal(G.gnn_predict(reg, np.ones((3, 4))), np.zeros((3, 1)))
+    assert np.array_equal(head(reg, np.ones((3, 4))), np.zeros((3, 1)))
 
 
 def test_predict_hand_value():
@@ -84,13 +88,13 @@ def test_predict_hand_value():
     m.weights["b_head"] = np.array([[0.0, 1.0]])
     logits = np.array([[1.0, 2.0]]) @ np.eye(2) + [0.0, 1.0]
     expect = np.exp(logits - 3.0) / np.exp(logits - 3.0).sum()
-    assert np.allclose(G.gnn_predict(m, [[1.0, 2.0]]), expect, atol=1e-12)
+    assert np.allclose(head(m, [[1.0, 2.0]]), expect, atol=1e-12)
 
 
 def test_predict_width_mismatch():
     m = model_for("gcn", hidden=4)
     with pytest.raises(DimensionError):
-        G.gnn_predict(m, np.ones((2, 5)))
+        head(m, np.ones((2, 5)))
 
 
 @pytest.mark.parametrize("kind", G.CONV_KINDS)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import connect_oracle, epsilon_graph_oracle, knn_graph_oracle, sim_oracle
 from seqrel import graph as G
-from seqrel.exceptions import DataError, DimensionError, ParameterError, ParseError
+from seqrel.exceptions import DataError, DimensionError, ParameterError
 
 
 def edges_as_tuples(edges):
@@ -12,14 +12,15 @@ def edges_as_tuples(edges):
 
 def test_similarity_basics():
     v = np.array([0.3, -0.7, 2.0])
-    assert G.similarity(v, v) == pytest.approx(1.0)
-    assert G.similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert G.similarity([1, 0], [1, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert G.similarity_matrix([v], [v])[0, 0] == pytest.approx(1.0)
+    assert G.similarity_matrix([[1, 0]], [[0, 1]])[0, 0] == pytest.approx(0.0)
+    assert G.similarity_matrix([[1, 0]], [[1, 1]])[0, 0] == pytest.approx(
+        1 / np.sqrt(2), abs=1e-12)
 
 
 def test_similarity_zero_norm_and_constant_rows():
-    assert G.similarity([0, 0], [1, 2]) == 0.0
-    assert G.similarity([3, 3, 3], [1, 2, 9], metric=G.PEARSON) == 0.0
+    assert G.similarity_matrix([[0, 0]], [[1, 2]])[0, 0] == 0.0
+    assert G.similarity_matrix([[3, 3, 3]], [[1, 2, 9]], metric=G.PEARSON)[0, 0] == 0.0
 
 
 def test_similarity_symmetric_and_bounded():
@@ -27,14 +28,15 @@ def test_similarity_symmetric_and_bounded():
     for _ in range(50):
         x, y = rng.normal(size=(2, 5)) * rng.choice([1, 100])
         for metric in (G.COSINE, G.PEARSON):
-            a = G.similarity(x, y, metric)
-            assert a == pytest.approx(G.similarity(y, x, metric), abs=1e-12)
+            a = G.similarity_matrix([x], [y], metric)[0, 0]
+            assert a == pytest.approx(G.similarity_matrix([y], [x], metric)[0, 0],
+                                      abs=1e-12)
             assert -1.0 <= a <= 1.0
 
 
 def test_similarity_length_mismatch():
     with pytest.raises(DimensionError):
-        G.similarity([1, 2], [1, 2, 3])
+        G.similarity_matrix([[1, 2]], [[1, 2, 3]])
 
 
 def test_epsilon_graph_identical_nodes():
@@ -146,29 +148,10 @@ def test_relation_graph_validation():
         G.RelationGraph(x, np.array([[2, 1]]))  # wrong orientation
 
 
-def test_edge_csv_round_trip(tmp_path):
-    edges = np.array([[0, 1], [0, 2], [1, 2]])
-    path = tmp_path / "edges.csv"
-    G.save_edges(path, edges)
-    assert path.read_text().splitlines()[0] == "src,dst"
-    assert np.array_equal(G.load_edges(path), edges)
-
-
-def test_edge_csv_errors(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("source,dest\n0,1\n")
-    with pytest.raises(ParseError, match="line 1"):
-        G.load_edges(bad_header)
-    bad_cell = tmp_path / "b.csv"
-    bad_cell.write_text("src,dst\n0,x\n")
-    with pytest.raises(ParseError, match="line 2"):
-        G.load_edges(bad_cell)
-
-
 def test_sim_oracle_agrees_with_similarity():
     rng = np.random.default_rng(8)
     for _ in range(30):
         x, y = rng.normal(size=(2, 6))
         for metric in (G.COSINE, G.PEARSON):
-            assert G.similarity(x, y, metric) == pytest.approx(
+            assert G.similarity_matrix([x], [y], metric)[0, 0] == pytest.approx(
                 sim_oracle(x, y, metric), abs=1e-12)

@@ -7,7 +7,8 @@ from seqrel import data as D
 from seqrel import encoder as E
 from seqrel import gnn as G
 from seqrel import infer as I
-from seqrel.exceptions import BundleIntegrityError, ParameterError
+from seqrel.exceptions import BundleIntegrityError, DataError, ParameterError
+from seqrel.graph import prep_rows
 from seqrel.ioutil import canonical_json
 
 
@@ -82,7 +83,7 @@ def test_record_without_encoder_rejected():
         I.score(bundle, rec)
 
 
-def test_encoder_route_matches_manual_embedding():
+def encoder_bundle():
     records = [D.Record(id=f"t{i}", events=[{"a": float(i), "b": "x"}],
                         label=i % 2) for i in range(12)]
     ds = D.SequenceDataset(records)
@@ -94,7 +95,11 @@ def test_encoder_route_matches_manual_embedding():
                              metric="cosine", epsilon=0.5, pos_ratio=0.5,
                              rng=np.random.default_rng(1))
     gnn = G.init_gnn("gcn", D.CLASSIFICATION, 4, 5, 2, np.random.default_rng(2))
-    bundle = I.build_bundle(enc, gnn, cg)
+    return I.build_bundle(enc, gnn, cg), records, x
+
+
+def test_encoder_route_matches_manual_embedding():
+    bundle, records, x = encoder_bundle()
     via_record = I.score(bundle, records[5])
     via_vector = I.score(bundle, x[5])
     assert via_record.output == via_vector.output
@@ -121,13 +126,46 @@ def test_score_batch_reports_offending_record():
         I.score_batch(bundle, [x[0], np.ones(9)])
 
 
-def test_scoring_is_read_only():
+def test_scoring_is_read_only(tmp_path):
+    built, x, _, _ = toy_bundle()
+    path = tmp_path / "bundle.json"
+    I.save_bundle(path, built)
+    direct = I.DeployBundle(encoder=None, gnn=built.gnn, cg=built.cg,
+                            metric="cosine", epsilon=0.3, fallback_m=1,
+                            task=built.cg.task)
+    for bundle in (built, I.load_bundle(path), direct):
+        # derived scoring state exists right after construction
+        assert np.array_equal(bundle._comp_prepped,
+                              prep_rows(bundle.cg.features, bundle.metric))
+        assert np.array_equal(bundle._comp_degrees, bundle.cg.degrees())
+        before = canonical_json(I.bundle_to_dict(bundle))
+        held = dict(vars(bundle))
+        derived = [bundle._comp_prepped.copy(), bundle._comp_degrees.copy()]
+        I.score(bundle, x[0])
+        I.score_batch(bundle, [x[1], x[2]])
+        I.explain(bundle, x[3], top_r=4)
+        assert canonical_json(I.bundle_to_dict(bundle)) == before
+        assert all(vars(bundle)[k] is v for k, v in held.items())
+        assert vars(bundle).keys() == held.keys()
+        assert np.array_equal(bundle._comp_prepped, derived[0])
+        assert np.array_equal(bundle._comp_degrees, derived[1])
+
+
+def test_non_finite_embedding_rejected():
     bundle, x, _, _ = toy_bundle()
-    before = canonical_json(I.bundle_to_dict(bundle))
-    I.score(bundle, x[0])
-    I.score_batch(bundle, [x[1], x[2]])
-    I.explain(bundle, x[3], top_r=4)
-    assert canonical_json(I.bundle_to_dict(bundle)) == before
+    for bad in (np.nan, np.inf, -np.inf):
+        query = x[0].copy()
+        query[1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            I.score(bundle, query)
+        with pytest.raises(DataError, match="non-finite"):
+            I.explain(bundle, query)
+    # an in-memory record never passes the JSONL checks; its NaN reaches the
+    # encoder and must not come out as a plausible score
+    bundle, _, _ = encoder_bundle()
+    record = D.Record(id="q", events=[{"a": float("nan"), "b": "x"}])
+    with pytest.raises(DataError, match="non-finite"):
+        I.score(bundle, record)
 
 
 def test_explain_ranking_and_provenance():
@@ -194,6 +232,11 @@ def test_bundle_load_rejects_bad_payload(tmp_path):
     p = tmp_path / "bad.json"
     write_json_atomic(p, obj)
     with pytest.raises(BundleIntegrityError):
+        I.load_bundle(p)
+    obj = I.bundle_to_dict(bundle)
+    obj["connection"]["metric"] = "hamming"
+    write_json_atomic(p, obj)
+    with pytest.raises(BundleIntegrityError, match="metric"):
         I.load_bundle(p)
     write_json_atomic(p, {"kind": "other"})
     with pytest.raises(BundleIntegrityError):

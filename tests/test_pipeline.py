@@ -142,16 +142,3 @@ def test_stage_rngs_are_independent():
     assert len(set(flat)) == len(flat)
     again = P.stage_rng(0, "compress").normal(size=4).tolist()
     assert streams["compress"] == again
-
-
-def test_build_graph_stage(synth_files, tmp_path):
-    out = tmp_path / "run"
-    cfg = small_cfg()
-    enc = P.run_train_encoder(cfg, synth_files["train"], synth_files["val"], out)
-    emb = P.run_embed(cfg, enc["encoder_path"], synth_files["train"], out)
-    eps = P.run_build_graph(cfg, emb["embeddings_path"], out)
-    assert eps["num_nodes"] == 80
-    assert (out / P.EDGES_FILE).exists()
-    knn_cfg = small_cfg(graph_kind="knn", knn_k=3)
-    knn = P.run_build_graph(knn_cfg, emb["embeddings_path"], out)
-    assert knn["num_edges"] >= 80 * 3 / 2

@@ -4,7 +4,7 @@ import pytest
 from seqrel import data as D
 from seqrel import synth as S
 from seqrel.exceptions import ConfigError
-from seqrel.graph import similarity
+from seqrel.graph import similarity_matrix
 
 
 def small_cfg(**kw):
@@ -65,7 +65,7 @@ def test_zero_noise_archetypes_are_tight():
     within, across = [], []
     for i in range(0, 50, 3):
         for j in range(i + 1, 50, 7):
-            sim = similarity(flat[i], flat[j], "cosine")
+            sim = similarity_matrix(flat[[i]], flat[[j]], "cosine")[0, 0]
             (within if arch[i] == arch[j] else across).append(sim)
     assert min(within) > max(across)
     # identical sequences within an archetype, up to float rounding

@@ -40,10 +40,10 @@ def test_matmul_shape_error_names_shapes():
 
 
 def test_elementwise_values():
-    assert np.array_equal(T.elementwise("relu", T.constant([[-1, 2]])).data, [[0, 2]])
-    assert np.array_equal(T.elementwise("sigmoid", T.constant([[0]])).data, [[0.5]])
-    assert np.array_equal(T.elementwise("tanh", T.constant([[0]])).data, [[0]])
-    out = T.elementwise("leaky_relu", T.constant([[-2, 4]]), alpha=0.2)
+    assert np.array_equal(T.relu(T.constant([[-1, 2]])).data, [[0, 2]])
+    assert np.array_equal(T.sigmoid(T.constant([[0]])).data, [[0.5]])
+    assert np.array_equal(T.tanh(T.constant([[0]])).data, [[0]])
+    out = T.leaky_relu(T.constant([[-2, 4]]), alpha=0.2)
     assert np.allclose(out.data, [[-0.4, 4]])
 
 
