@@ -145,6 +145,13 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def fit_field_schema(dataset: SequenceDataset) -> FieldSchema:
     """Scan all events: min/max for numerical fields, first-appearance
     vocabularies for categorical ones."""
@@ -237,15 +244,14 @@ def _validate_record(obj, line: int, require_label: bool) -> Record:
                 raise ParseError(
                     f"record {obj['id']!r} field {k!r} has unsupported value type "
                     f"{type(v).__name__}", line=line)
-            if isinstance(v, float) and not math.isfinite(v):
+            if _is_number(v) and not _is_finite(v):
                 raise ParseError(
                     f"record {obj['id']!r} field {k!r} is not finite", line=line)
     label = obj.get("label")
     if label is None:
         if require_label:
             raise ParseError(f"record {obj['id']!r} is missing 'label'", line=line)
-    elif not _is_number(label) or (isinstance(label, float)
-                                   and not math.isfinite(label)):
+    elif not _is_number(label) or not _is_finite(label):
         raise ParseError(f"record {obj['id']!r} label must be a finite number",
                          line=line)
     return Record(id=obj["id"], events=events, label=label)
@@ -260,8 +266,9 @@ def parse_sequence_lines(lines, require_label: bool = True,
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        except ValueError as exc:  # also an integer over the digit limit
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                             line=line_no) from exc
         records.append(_validate_record(obj, line_no, require_label))
     if not records:
         raise EmptyInputError(f"{source} contains no records")
@@ -295,14 +302,13 @@ def _format_label(label) -> str:
 
 def _parse_label(token: str, line: int):
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"bad label {token!r}", line=line) from None
-    if not math.isfinite(value):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"bad label {token!r}", line=line) from None
+    if not _is_finite(value):
         raise ParseError(f"non-finite label {token!r}", line=line)
     return value
 
@@ -398,6 +404,8 @@ def read_demand_csv(path: str | Path) -> SequenceDataset:
                 target = float(cells[-1])
             except ValueError:
                 raise ParseError("non-numeric demand cell", line=line_no) from None
+            if not all(map(math.isfinite, series + [target])):
+                raise ParseError("non-finite demand cell", line=line_no)
             records.append(Record(id=cells[0],
                                   events=[{"demand": v} for v in series],
                                   label=target))

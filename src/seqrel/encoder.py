@@ -5,6 +5,9 @@ The cell is a standard single-layer LSTM. Each event vector is
 concatenated with the previous hidden state; input/forget/output gates
 and the candidate update produce the next cell and hidden state. The
 final hidden state is the sequence embedding.
+
+All four gates share one (schema width + H, 4H) weight `w_gates` and one
+(1, 4H) bias `b_gates`, in column blocks ordered i, f, o, g.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .data import (
     encode_record,
     fit_field_schema,
 )
-from .exceptions import TaskMismatchError
+from .exceptions import ArtifactError, TaskMismatchError
 from .ioutil import read_json, write_json_atomic
 
 GATES = ("i", "f", "o", "g")
@@ -38,10 +41,6 @@ class EncoderModel:
     hidden_dim: int
     weights: dict[str, np.ndarray]
 
-    @property
-    def input_dim(self) -> int:
-        return self.schema.width
-
     def copy_weights(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.weights.items()}
 
@@ -51,10 +50,11 @@ def init_encoder(schema: FieldSchema, task: str, num_classes: int,
     if task == REGRESSION:
         num_classes = 1
     width = schema.width + hidden_dim
-    weights: dict[str, np.ndarray] = {}
-    for gate in GATES:
-        weights[f"w_{gate}"] = T.glorot_uniform(rng, width, hidden_dim)
-        weights[f"b_{gate}"] = np.zeros((1, hidden_dim))
+    weights = {
+        "w_gates": np.concatenate(
+            [T.glorot_uniform(rng, width, hidden_dim) for _ in GATES], axis=1),
+        "b_gates": np.zeros((1, 4 * hidden_dim)),
+    }
     weights["w_head"] = T.glorot_uniform(rng, hidden_dim, num_classes)
     weights["b_head"] = np.zeros((1, num_classes))
     return EncoderModel(schema, task, num_classes, hidden_dim, weights)
@@ -64,28 +64,25 @@ def init_encoder(schema: FieldSchema, task: str, num_classes: int,
 # numpy forward (inference)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _scan_np(weights: dict[str, np.ndarray], steps: np.ndarray) -> np.ndarray:
-    """Run the cell over a (T, input_dim) event matrix; returns (1, F_s)."""
-    hidden = weights["w_i"].shape[1]
-    h = np.zeros((1, hidden))
+    """Run the cell over a (T, width) event matrix; returns (1, F_s).
+
+    The input projection of every step is one matmul up front, so each
+    step multiplies only the hidden state by the recurrent rows.
+    """
+    w, width = weights["w_gates"], steps.shape[1]
+    hidden = w.shape[1] // 4
+    projected = steps @ w[:width] + weights["b_gates"]
+    w_rec = w[width:]
     c = np.zeros((1, hidden))
+    gates = projected[:1]  # the hidden state starts at zero: no recurrent term
     for t in range(steps.shape[0]):
-        z = np.concatenate([steps[t:t + 1], h], axis=1)
-        i = _sigmoid_np(z @ weights["w_i"] + weights["b_i"])
-        f = _sigmoid_np(z @ weights["w_f"] + weights["b_f"])
-        o = _sigmoid_np(z @ weights["w_o"] + weights["b_o"])
-        g = np.tanh(z @ weights["w_g"] + weights["b_g"])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        if t:
+            gates = projected[t:t + 1] + h @ w_rec
+        ifo = T.logistic(gates[:, :3 * hidden])
+        g = np.tanh(gates[:, 3 * hidden:])
+        c = ifo[:, hidden:2 * hidden] * c + ifo[:, :hidden] * g
+        h = ifo[:, 2 * hidden:] * np.tanh(c)
     return h
 
 
@@ -105,17 +102,19 @@ def embed_all(model: EncoderModel, dataset: SequenceDataset) -> np.ndarray:
 
 
 def _scan_tensor(params: dict[str, T.Tensor], steps: np.ndarray) -> T.Tensor:
-    """Batched scan over (B, T, input_dim); returns the (B, F_s) tensor."""
+    """Batched scan over (B, T, width); returns the (B, F_s) tensor."""
     batch, length = steps.shape[0], steps.shape[1]
-    hidden = params["w_i"].cols
+    hidden = params["w_gates"].cols // 4
     h = T.constant(np.zeros((batch, hidden)))
     c = T.constant(np.zeros((batch, hidden)))
     for t in range(length):
         z = T.concat_cols(T.constant(steps[:, t, :]), h)
-        i = T.sigmoid(T.add(T.matmul(z, params["w_i"]), params["b_i"]))
-        f = T.sigmoid(T.add(T.matmul(z, params["w_f"]), params["b_f"]))
-        o = T.sigmoid(T.add(T.matmul(z, params["w_o"]), params["b_o"]))
-        g = T.tanh(T.add(T.matmul(z, params["w_g"]), params["b_g"]))
+        gates = T.add(T.matmul(z, params["w_gates"]), params["b_gates"])
+        ifo = T.sigmoid(T.slice_cols(gates, 0, 3 * hidden))
+        i = T.slice_cols(ifo, 0, hidden)
+        f = T.slice_cols(ifo, hidden, 2 * hidden)
+        o = T.slice_cols(ifo, 2 * hidden, 3 * hidden)
+        g = T.tanh(T.slice_cols(gates, 3 * hidden, 4 * hidden))
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, T.tanh(c))
     return h
@@ -238,14 +237,29 @@ def encoder_to_dict(model: EncoderModel) -> dict:
 
 
 def encoder_from_dict(d: dict) -> EncoderModel:
-    weights = {k: np.array(v, dtype=np.float64) for k, v in d["weights"].items()}
-    return EncoderModel(
-        schema=FieldSchema.from_dict(d["schema"]),
-        task=d["task"],
-        num_classes=d["num_classes"],
-        hidden_dim=d["hidden_dim"],
-        weights=weights,
-    )
+    """Read either gate layout and check every shape against the schema.
+
+    Files written before the gates were fused hold four per-gate matrices
+    w_i..w_g and biases b_i..b_g; they are concatenated in gate order, which
+    is exact.
+    """
+    schema = FieldSchema.from_dict(d["schema"])
+    hidden, num_classes = d["hidden_dim"], d["num_classes"]
+    try:
+        weights = {k: np.array(v, dtype=np.float64) for k, v in d["weights"].items()}
+        if "w_gates" not in weights and "b_gates" not in weights:
+            for kind in "wb":
+                weights[f"{kind}_gates"] = np.concatenate(
+                    [weights.pop(f"{kind}_{gate}") for gate in GATES], axis=1)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"malformed encoder weights: {exc!r}") from exc
+    expected = {"w_gates": (schema.width + hidden, 4 * hidden), "b_gates": (1, 4 * hidden),
+                "w_head": (hidden, num_classes), "b_head": (1, num_classes)}
+    shapes = {k: v.shape for k, v in weights.items()}
+    if shapes != expected:
+        raise ArtifactError(f"encoder weight shapes {shapes}, expected {expected}")
+    return EncoderModel(schema=schema, task=d["task"], num_classes=num_classes,
+                        hidden_dim=hidden, weights=weights)
 
 
 def save_encoder(path, model: EncoderModel) -> None:

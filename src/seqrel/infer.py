@@ -19,7 +19,8 @@ from . import compress as C
 from . import data as D
 from . import encoder as E
 from . import gnn as G
-from .exceptions import BundleIntegrityError, DataError, ParameterError, SeqrelError
+from .exceptions import (ArtifactError, BundleIntegrityError, DataError,
+                         ParameterError, SeqrelError)
 from .graph import METRICS, connect_from_sims, prep_rows
 from .ioutil import read_json, write_json_atomic
 
@@ -217,7 +218,9 @@ def bundle_from_dict(obj: dict) -> DeployBundle:
             cg=C.compressed_from_dict(obj["compressed_graph"]),
             metric=conn["metric"], epsilon=float(conn["epsilon"]),
             fallback_m=int(conn["fallback_m"]), task=obj["task"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except BundleIntegrityError:
+        raise
+    except (ArtifactError, KeyError, TypeError, ValueError) as exc:
         raise BundleIntegrityError(f"malformed bundle: {exc}") from exc
 
 

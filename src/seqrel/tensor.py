@@ -2,8 +2,9 @@
 
 The tape covers exactly the primitives the pipeline composes: matmul,
 broadcast add/sub, hadamard/column products, the usual nonlinearities,
-row softmax, column concatenation, row gather, segment reductions, and
-the two losses. Everything is float64; no NaN or Inf may escape a loss.
+row softmax, column concatenation and slicing, row gather, segment
+reductions, and the two losses. Everything is float64; no NaN or Inf may
+escape a loss.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def _div_b_grad(g, a_data, b_data):
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0) that passes NaN through; the gradient mask is x > 0."""
     mask = a.data > 0.0
-    return _make(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    return _make(np.where(a.data <= 0.0, 0.0, a.data), [(a, lambda g: g * mask)])
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
@@ -225,13 +227,14 @@ def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
     return _make(a.data * slope, [(a, lambda g: g * slope)])
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as 0.5 * tanh(x / 2) + 0.5: one pass with no
+    overflow, exactly 0.5 at 0, exactly 0 or 1 once saturated, NaN kept."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(a.data)
     return _make(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -266,6 +269,19 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         (a, lambda g: g[:, :split]),
         (b, lambda g: np.ascontiguousarray(g[:, split:])),
     ])
+
+
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a, copied."""
+    if not 0 <= start < stop <= a.cols:
+        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
+
+    def pull(g):
+        out = np.zeros_like(a.data)
+        out[:, start:stop] = g
+        return out
+
+    return _make(np.ascontiguousarray(a.data[:, start:stop]), [(a, pull)])
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:

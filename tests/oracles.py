@@ -165,3 +165,43 @@ def gnn_forward_oracle(kind, x, neighbor_lists, w, att=None, alpha=0.2):
             raise ValueError(kind)
         out[i] = np.maximum(h, 0.0)
     return out
+
+
+def masked_sigmoid(x):
+    """The logistic function in two branches, exp of a non-positive number
+    in each, so nothing overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_gate_weights(w_gates, b_gates):
+    """Split the fused (width+H, 4H) gate matrix and (1, 4H) bias into the
+    w_i..w_g / b_i..b_g blocks, in gate order i, f, o, g."""
+    hidden = w_gates.shape[1] // 4
+    out = {}
+    for k, gate in enumerate("ifog"):
+        out[f"w_{gate}"] = w_gates[:, k * hidden:(k + 1) * hidden]
+        out[f"b_{gate}"] = b_gates[:, k * hidden:(k + 1) * hidden]
+    return out
+
+
+def lstm_oracle(weights, steps):
+    """One LSTM pass over a (T, width) event matrix with four separate gate
+    matrices w_i..w_g and biases b_i..b_g, each step concatenating the input
+    with the hidden state; returns the final (1, H) hidden state."""
+    hidden = weights["w_i"].shape[1]
+    h = np.zeros((1, hidden))
+    c = np.zeros((1, hidden))
+    for t in range(steps.shape[0]):
+        z = np.concatenate([steps[t:t + 1], h], axis=1)
+        i = masked_sigmoid(z @ weights["w_i"] + weights["b_i"])
+        f = masked_sigmoid(z @ weights["w_f"] + weights["b_f"])
+        o = masked_sigmoid(z @ weights["w_o"] + weights["b_o"])
+        g = np.tanh(z @ weights["w_g"] + weights["b_g"])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h

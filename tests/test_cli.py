@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from test_encoder import FIXTURES, bad_gate_sets
 
 from seqrel import pipeline as P
 from seqrel.cli import main
@@ -200,6 +202,46 @@ def test_infer_rejects_non_finite_jsonl(workspace, tmp_path):
             "infer", "--bundle", str(out / P.BUNDLE_FILE), "--input", "-"],
             input=text + "\n")
         assert result.exit_code == 3, (token, where, result.output)
+        tail = json.loads(result.output.strip().splitlines()[-1])
+        assert tail["error"] == "ParseError"
+        assert "finite" in tail["message"]
+
+
+FIXTURE_RECORD = {"id": "q", "events": [{"a": 3.0, "b": "x"}, {"a": 7.0, "b": "y"}]}
+
+
+def infer_fixture(bundle_path: Path, record: str):
+    return CliRunner().invoke(main, ["infer", "--bundle", str(bundle_path),
+                                     "--input", "-"], input=record + "\n")
+
+
+def test_infer_loads_four_gate_bundle():
+    result = infer_fixture(FIXTURES / "bundle_four_gate.json", json.dumps(FIXTURE_RECORD))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.splitlines()[0])["id"] == "q"
+
+
+def test_infer_rejects_bad_gate_sets_exit_3(tmp_path):
+    bundle = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    for name, weights in bad_gate_sets(bundle["encoder"]["weights"]):
+        bad = json.loads(json.dumps(bundle))
+        bad["encoder"]["weights"] = weights
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bad))
+        result = infer_fixture(path, json.dumps(FIXTURE_RECORD))
+        assert result.exit_code == 3, (name, result.output)
+        tail = json.loads(result.output.strip().splitlines()[-1])
+        assert tail["error"] == "BundleIntegrityError", (name, tail)
+        assert tail["exit_code"] == 3
+
+
+def test_infer_rejects_integer_too_large_for_a_float():
+    huge = "9" * 400
+    for text in (json.dumps(FIXTURE_RECORD).replace("3.0", huge, 1),
+                 json.dumps({**FIXTURE_RECORD, "label": 0}).replace("0}", huge + "}")):
+        assert huge in text
+        result = infer_fixture(FIXTURES / "bundle_four_gate.json", text)
+        assert result.exit_code == 3, result.output
         tail = json.loads(result.output.strip().splitlines()[-1])
         assert tail["error"] == "ParseError"
         assert "finite" in tail["message"]

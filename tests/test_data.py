@@ -116,6 +116,27 @@ def test_sequences_missing_label_rejected_unless_optional(tmp_path):
     assert ds.records[0].label is None
 
 
+HUGE = "9" * 400  # an integer literal too large for a float
+
+
+@pytest.mark.parametrize("line", [
+    f'{{"id": "a", "events": [{{"v": {HUGE}}}], "label": 0}}',
+    f'{{"id": "a", "events": [{{"v": -{HUGE}}}], "label": 0}}',
+    f'{{"id": "a", "events": [{{"v": 1}}], "label": {HUGE}}}',
+], ids=["event", "negative event", "label"])
+def test_sequences_reject_integers_too_large_for_a_float(line):
+    ok = '{"id": "z", "events": [{"v": 2}], "label": 1}'
+    with pytest.raises(ParseError, match="line 2.*finite") as err:
+        D.parse_sequence_lines([ok, line])
+    assert err.value.exit_code == 3
+
+
+def test_sequences_integer_over_the_digit_limit_is_a_parse_error():
+    line = f'{{"id": "a", "events": [{{"v": {"9" * 5000}}}], "label": 0}}'
+    with pytest.raises(ParseError, match="line 1.*invalid JSON"):
+        D.parse_sequence_lines([line])
+
+
 def test_sequences_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -181,6 +202,13 @@ def test_embeddings_non_finite_cell_names_line(tmp_path, row):
     assert err.value.exit_code == 3
 
 
+def test_embeddings_label_too_large_for_a_float(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,f0,f1,label\na,1.0,2.0,0\nb,1.0,2.0,{HUGE}\n")
+    with pytest.raises(ParseError, match="line 3.*non-finite label"):
+        D.load_embeddings(path)
+
+
 # ---------------------------------------------------------------------------
 # splits and demand CSV
 
@@ -229,3 +257,14 @@ def test_read_demand_csv_errors(tmp_path):
     p.write_text("id,h0,h1,target\n")
     with pytest.raises(EmptyInputError):
         D.read_demand_csv(p)
+
+
+@pytest.mark.parametrize("row", ["d1,1.0,nan,2.0", "d1,1.0,2.0,inf",
+                                 "d1,-inf,2.0,3.0", "d1,1.0,2.0,NaN"])
+def test_read_demand_csv_rejects_non_finite_cells(tmp_path, row):
+    p = tmp_path / "demand.csv"
+    p.write_text(f"id,h0,h1,target\nd0,1.0,2.0,3.0\n{row}\n")
+    with pytest.raises(ParseError, match="finite") as err:
+        D.read_demand_csv(p)
+    assert err.value.line == 3
+    assert err.value.exit_code == 3

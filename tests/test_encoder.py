@@ -1,9 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import lstm_oracle, per_gate_weights
 
 import seqrel.tensor as T
 from seqrel import data as D
 from seqrel import encoder as E
+from seqrel import infer as I
+from seqrel.exceptions import ArtifactError, BundleIntegrityError
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def toy_schema():
@@ -35,7 +45,7 @@ def test_single_step_matches_hand_gates():
     record = rec([0.7])
     x = D.encode_record(model.schema, record)  # (1, 1)
     z = np.concatenate([x[0], np.zeros(4)]).reshape(1, -1)
-    w = model.weights
+    w = per_gate_weights(model.weights["w_gates"], model.weights["b_gates"])
 
     def sig(a):
         return 1.0 / (1.0 + np.exp(-a))
@@ -47,6 +57,15 @@ def test_single_step_matches_hand_gates():
     c = i * g  # initial cell state is zero, so the forget term drops
     expect = o * np.tanh(c)
     assert np.allclose(E.encode_sequence(model, record), expect[0], atol=1e-12)
+
+
+def test_init_draws_four_glorot_gate_blocks_in_order():
+    model = random_model(hidden=4, seed=12)
+    rng = np.random.default_rng(12)
+    blocks = [T.glorot_uniform(rng, 1 + 4, 4) for _ in E.GATES]
+    assert np.array_equal(model.weights["w_gates"], np.concatenate(blocks, axis=1))
+    assert np.array_equal(model.weights["b_gates"], np.zeros((1, 16)))
+    assert np.array_equal(model.weights["w_head"], T.glorot_uniform(rng, 4, 2))
 
 
 def test_event_order_matters():
@@ -182,3 +201,132 @@ def test_encoder_save_load_round_trip(tmp_path):
     path2 = tmp_path / "encoder2.json"
     E.save_encoder(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fused-gate scans against the four-gate oracle
+
+
+def numeric_schema(width):
+    return D.FieldSchema(tuple(D.SchemaField(f"v{j}", "numerical", vmin=0.0, vmax=1.0)
+                               for j in range(width)))
+
+
+def scaled_model(width, hidden, scale, seed):
+    """Glorot weights and a random bias, all times `scale`; large scales
+    drive the gates into saturation."""
+    rng = np.random.default_rng(seed)
+    model = E.init_encoder(numeric_schema(width), D.CLASSIFICATION, 2, hidden, rng)
+    model.weights["b_gates"] = rng.normal(size=model.weights["b_gates"].shape)
+    for key in ("w_gates", "b_gates"):
+        model.weights[key] *= scale
+    return model
+
+
+def random_records(width, length, count, seed):
+    rng = np.random.default_rng(seed)
+    return [D.Record(f"r{n}", [{f"v{j}": float(rng.uniform()) for j in range(width)}
+                               for _ in range(length)], 0) for n in range(count)]
+
+
+scan_shapes = dict(hidden=st.integers(1, 9), width=st.integers(1, 5),
+                   length=st.integers(1, 7),
+                   scale=st.sampled_from([1e-3, 0.5, 1.0, 3.0, 10.0, 60.0]),
+                   seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**scan_shapes)
+def test_encode_sequence_matches_four_gate_oracle(hidden, width, length, scale, seed):
+    model = scaled_model(width, hidden, scale, seed)
+    gates = per_gate_weights(model.weights["w_gates"], model.weights["b_gates"])
+    for record in random_records(width, length, 2, seed + 1):
+        want = lstm_oracle(gates, D.encode_record(model.schema, record))[0]
+        got = E.encode_sequence(model, record)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 5), **scan_shapes)
+def test_taped_scan_matches_numpy_scan_per_row(batch, hidden, width, length, scale, seed):
+    model = scaled_model(width, hidden, scale, seed)
+    ds = D.SequenceDataset(random_records(width, length, batch, seed + 2))
+    steps = D.encode_dataset(model.schema, ds)
+    taped = E._scan_tensor(E._as_tensors(model), steps).data
+    for row in range(batch):
+        want = E._scan_np(model.weights, steps[row])[0]
+        assert np.max(np.abs(taped[row] - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# files written with four per-gate matrices (w_i..w_g, b_i..b_g)
+
+
+def fixture_records():
+    """Records in the fixtures' schema: numeric field a, categorical b."""
+    return [D.Record(f"q{n}", [{"a": float(n), "b": "xy"[n % 2]}, {"a": 11.0 - n, "b": "y"},
+                              {"a": 30.0, "b": "z"}], None) for n in range(6)]
+
+
+def assert_fused_from_four_gate(model, raw_weights):
+    for kind in "wb":
+        want = np.concatenate([np.array(raw_weights[f"{kind}_{g}"]) for g in E.GATES], axis=1)
+        assert np.array_equal(model.weights[f"{kind}_gates"], want)
+    assert set(model.weights) == {"w_gates", "b_gates", "w_head", "b_head"}
+    for record in fixture_records():
+        steps = D.encode_record(model.schema, record)
+        want = lstm_oracle({k: np.array(v) for k, v in raw_weights.items()}, steps)[0]
+        assert np.max(np.abs(E.encode_sequence(model, record) - want)) <= 1e-12
+
+
+def test_four_gate_encoder_file_loads_as_exact_concatenation():
+    raw = json.loads((FIXTURES / "encoder_four_gate.json").read_text())
+    assert "w_i" in raw["weights"] and "w_gates" not in raw["weights"]
+    assert_fused_from_four_gate(E.load_encoder(FIXTURES / "encoder_four_gate.json"),
+                                raw["weights"])
+
+
+def test_four_gate_bundle_loads_and_scores(tmp_path):
+    raw = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    bundle = I.load_bundle(FIXTURES / "bundle_four_gate.json")
+    assert_fused_from_four_gate(bundle.encoder, raw["encoder"]["weights"])
+    result = I.score(bundle, fixture_records()[0])
+    assert np.isfinite(result.output).all()
+    # files are written in the fused layout only
+    I.save_bundle(tmp_path / "bundle.json", bundle)
+    saved = json.loads((tmp_path / "bundle.json").read_text())["encoder"]["weights"]
+    assert sorted(saved) == ["b_gates", "b_head", "w_gates", "w_head"]
+
+
+def bad_gate_sets(weights):
+    """(name, weights) pairs whose gate set is partial, truncated or
+    dimension-flipped, for either layout."""
+    fused = {"w_gates": np.concatenate([np.array(weights[f"w_{g}"]) for g in E.GATES], axis=1),
+             "b_gates": np.concatenate([np.array(weights[f"b_{g}"]) for g in E.GATES], axis=1),
+             "w_head": weights["w_head"], "b_head": weights["b_head"]}
+    fused = {k: np.asarray(v).tolist() for k, v in fused.items()}
+    return [
+        ("partial", {k: v for k, v in weights.items() if k != "w_o"}),
+        ("partial bias", {k: v for k, v in weights.items() if k != "b_g"}),
+        ("mixed layouts", {**weights, "w_gates": fused["w_gates"]}),
+        ("truncated rows", {**weights, "w_f": weights["w_f"][:-1]}),
+        ("truncated cols", {**weights, "w_g": [r[:-1] for r in weights["w_g"]]}),
+        ("ragged", {**weights, "w_i": weights["w_i"][:-1] + [weights["w_i"][-1][:-1]]}),
+        ("flipped", {**weights, "w_i": np.array(weights["w_i"]).T.tolist()}),
+        ("fused flipped", {**fused, "w_gates": np.array(fused["w_gates"]).T.tolist()}),
+        ("fused truncated", {**fused, "b_gates": [fused["b_gates"][0][:-1]]}),
+        ("fused partial", {k: v for k, v in fused.items() if k != "b_gates"}),
+    ]
+
+
+def test_bad_gate_sets_raise_typed_errors(tmp_path):
+    raw = json.loads((FIXTURES / "encoder_four_gate.json").read_text())
+    bundle = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    for name, weights in bad_gate_sets(raw["weights"]):
+        with pytest.raises(ArtifactError):
+            E.encoder_from_dict({**raw, "weights": weights})
+        bundle["encoder"]["weights"] = weights
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(BundleIntegrityError):
+            I.load_bundle(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import masked_sigmoid
 
 from seqrel import tensor as T
 from seqrel.exceptions import DimensionError, NumericFailureError
@@ -51,6 +52,28 @@ def test_sigmoid_saturates_without_overflow():
     out = T.sigmoid(T.constant([[-1000.0, 1000.0]]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0, 0] == 0.0 and out.data[0, 1] == 1.0
+
+
+def test_sigmoid_matches_two_branch_form():
+    x = np.concatenate([np.linspace(-50, 50, 2001), [-745.0, 745.0, 1e-300, -1e-300]])
+    assert np.max(np.abs(T.sigmoid(T.constant(x)).data[0] - masked_sigmoid(x))) <= 2.3e-16
+    assert np.isnan(T.sigmoid(T.constant([[np.nan]])).data[0, 0])
+
+
+def test_relu_propagates_nan_and_keeps_finite_values():
+    x = np.array([[np.nan, -np.inf, -1.5, -0.0, 0.0, 1e-300, 2.5, np.inf]])
+    out = T.relu(T.constant(x)).data
+    assert np.isnan(out[0, 0])
+    assert np.array_equal(out[:, 1:], [[0.0, 0.0, 0.0, 0.0, 1e-300, 2.5, np.inf]])
+    assert not np.signbit(out[0, 3])  # -0.0 maps to +0.0, as np.where(x > 0, x, 0) did
+    finite = np.random.default_rng(0).normal(size=(4, 5))
+    assert np.array_equal(T.relu(T.constant(finite)).data, np.where(finite > 0, finite, 0.0))
+    a = T.parameter(x)
+    tape = T.Tape()
+    tape.watch(a)
+    tape.backward(T.matmul(T.relu(a), T.constant(np.ones((x.shape[1], 1)))))
+    tape.release()
+    assert np.array_equal(a.grad, (x > 0.0).astype(float))
 
 
 def test_row_softmax_symmetry():
@@ -271,6 +294,25 @@ def test_grad_concat_gather_segments():
         return T.mse_loss(pooled, t)
 
     assert T.finite_diff_check(build, [w]) < 1e-4
+
+
+def test_grad_slice_cols():
+    rng = np.random.default_rng(7)
+    w = rand(rng, 3, 6)
+    x = T.constant(rng.normal(size=(4, 3)))
+    t = T.constant(rng.normal(size=(4, 2)))
+
+    def build(tape):
+        z = T.matmul(x, w)
+        left = T.sigmoid(T.slice_cols(z, 0, 2))
+        right = T.tanh(T.slice_cols(z, 4, 6))
+        return T.mse_loss(T.mul(left, right), t)  # columns 2:4 get no gradient
+
+    assert T.finite_diff_check(build, [w]) < 1e-6
+    with pytest.raises(DimensionError):
+        T.slice_cols(w, 4, 7)
+    with pytest.raises(DimensionError):
+        T.slice_cols(w, 3, 3)
 
 
 def test_grad_leaky_relu_and_bias_sub():
