@@ -189,7 +189,8 @@ def fit_field_schema(dataset: SequenceDataset) -> FieldSchema:
 def encode_event(schema: FieldSchema, event: dict) -> np.ndarray:
     """Min-max scale numerical fields (clamped to [0,1], constant fields
     map to 0) and one-hot categorical ones (unseen values are all zeros),
-    concatenated in schema order."""
+    concatenated in schema order. A numerical field must hold a finite
+    int or float (not a bool); an int too large for a float is not finite."""
     parts = np.zeros(schema.width)
     pos = 0
     for f in schema.fields:
@@ -197,6 +198,12 @@ def encode_event(schema: FieldSchema, event: dict) -> np.ndarray:
             raise SchemaViolationError(f"event is missing field {f.name!r}")
         v = event[f.name]
         if f.kind == "numerical":
+            if not _is_number(v):
+                raise SchemaViolationError(
+                    f"numerical field {f.name!r} holds a {type(v).__name__}, not a number")
+            if not _is_finite(v):
+                raise SchemaViolationError(
+                    f"numerical field {f.name!r} holds a non-finite number")
             span = f.vmax - f.vmin
             if span > 0.0:
                 parts[pos] = min(max((float(v) - f.vmin) / span, 0.0), 1.0)

@@ -1,5 +1,5 @@
-"""Recurrent sequence encoder: gated cell over encoded events plus an
-affine prediction head.
+"""Recurrent sequence encoder: gated cell over encoded events plus the
+relation model's affine prediction head, used for training only.
 
 The cell is a standard single-layer LSTM. Each event vector is
 concatenated with the previous hidden state; input/forget/output gates
@@ -28,6 +28,7 @@ from .data import (
     fit_field_schema,
 )
 from .exceptions import ArtifactError, TaskMismatchError
+from .gnn import label_targets, predict_tensor
 from .ioutil import read_json, write_json_atomic
 
 GATES = ("i", "f", "o", "g")
@@ -40,9 +41,6 @@ class EncoderModel:
     num_classes: int  # head width; 1 for regression
     hidden_dim: int
     weights: dict[str, np.ndarray]
-
-    def copy_weights(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.weights.items()}
 
 
 def init_encoder(schema: FieldSchema, task: str, num_classes: int,
@@ -120,31 +118,15 @@ def _scan_tensor(params: dict[str, T.Tensor], steps: np.ndarray) -> T.Tensor:
     return h
 
 
-def _head_tensor(params: dict[str, T.Tensor], h: T.Tensor, task: str) -> T.Tensor:
-    logits = T.add(T.matmul(h, params["w_head"]), params["b_head"])
-    if task == CLASSIFICATION:
-        return T.row_softmax(logits)
-    return logits
-
-
 def encoder_loss(params: dict[str, T.Tensor], steps: np.ndarray,
                  targets: np.ndarray, task: str) -> T.Tensor:
-    pred = _head_tensor(params, _scan_tensor(params, steps), task)
-    if task == CLASSIFICATION:
-        return T.ce_loss(pred, T.constant(targets))
-    return T.mse_loss(pred, T.constant(targets))
+    pred = predict_tensor(params, _scan_tensor(params, steps), task)
+    return T.LOSSES["ce" if task == CLASSIFICATION else "mse"](pred, T.constant(targets))
 
 
 def _as_tensors(model: EncoderModel) -> dict[str, T.Tensor]:
     """Tensor views sharing the model's weight buffers."""
     return {k: T.Tensor(v) for k, v in model.weights.items()}
-
-
-def _targets_for(dataset: SequenceDataset, task: str, num_classes: int) -> np.ndarray:
-    labels = dataset.labels_array()
-    if task == CLASSIFICATION:
-        return np.eye(num_classes)[labels.astype(np.intp)]
-    return labels.reshape(-1, 1)
 
 
 def _mean_loss(params, encoded, targets, task, batch_size) -> float:
@@ -179,45 +161,30 @@ def train_encoder(train: SequenceDataset, val: SequenceDataset, *,
 
     model = init_encoder(schema, task, num_classes, hidden_dim, rng)
     params = _as_tensors(model)
-    param_list = list(params.values())
-    opt = T.Adam(param_list, lr=lr)
+    opt = T.Adam(list(params.values()), lr=lr)
 
     x_train = encode_dataset(schema, train)
-    y_train = _targets_for(train, task, num_classes)
+    y_train, _ = label_targets(train.labels_array(), task, num_classes)
     x_val = encode_dataset(schema, val)
-    y_val = _targets_for(val, task, num_classes)
+    y_val, _ = label_targets(val.labels_array(), task, num_classes)
 
     history: dict = {"train_loss": [], "val_loss": [], "best_epoch": 0}
-    best_val = np.inf
-    best_weights = model.copy_weights()
-    stale = 0
+    stopper = T.EarlyStopping(model.weights, patience)
     n = x_train.shape[0]
     for epoch in range(max_epochs):
         order = rng.permutation(n)
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             take = order[start:start + batch_size]
-            tape = T.Tape()
-            tape.watch(*param_list)
-            loss = encoder_loss(params, x_train[take], y_train[take], task)
-            opt.zero_grad()
-            tape.backward(loss)
-            tape.release()
-            opt.step()
-            epoch_total += loss.item() * take.size
+            epoch_total += opt.minimize(
+                lambda: encoder_loss(params, x_train[take], y_train[take], task)) * take.size
         history["train_loss"].append(epoch_total / n)
         val_loss = _mean_loss(params, x_val, y_val, task, batch_size)
         history["val_loss"].append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_weights = model.copy_weights()
-            history["best_epoch"] = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > patience:
-                break
-    model.weights = best_weights
+        if stopper.update(epoch, val_loss):
+            break
+    model.weights = stopper.best
+    history["best_epoch"] = stopper.best_epoch
     return model, history
 
 

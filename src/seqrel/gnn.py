@@ -43,9 +43,6 @@ class GnnModel:
     out_dim: int
     weights: dict[str, np.ndarray]
 
-    def copy_weights(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.weights.items()}
-
 
 def init_gnn(kind: str, task: str, in_dim: int, hidden_dim: int, out_dim: int,
              rng: np.random.Generator) -> GnnModel:
@@ -219,14 +216,19 @@ def predict_view(model: GnnModel, view: GraphView) -> np.ndarray:
 # training
 
 
-def _loss_fn(pred: T.Tensor, target: np.ndarray, loss_kind: str) -> T.Tensor:
-    if loss_kind == "ce":
-        return T.ce_loss(pred, T.constant(target))
-    return T.mse_loss(pred, T.constant(target))
+def label_targets(labels, task: str, num_classes: int) -> tuple[np.ndarray, str]:
+    """Targets for real labels and the loss that scores them: one-hot rows
+    under cross entropy for classification, one column under MSE for
+    regression."""
+    if task == "classification":
+        return np.eye(num_classes)[np.asarray(labels, dtype=np.intp)], "ce"
+    return np.asarray(labels, dtype=np.float64).reshape(-1, 1), "mse"
 
 
-def _class_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.eye(num_classes)[np.asarray(labels, dtype=np.intp)]
+def _view_loss(params: dict[str, T.Tensor], model: GnnModel, view: GraphView,
+               target: np.ndarray, loss_kind: str) -> T.Tensor:
+    pred = predict_tensor(params, gnn_forward(params, model.kind, view), model.task)
+    return T.LOSSES[loss_kind](pred, T.constant(target))
 
 
 def train_on_compressed(model: GnnModel, cg: CompressedGraph, *,
@@ -248,54 +250,30 @@ def train_on_compressed(model: GnnModel, cg: CompressedGraph, *,
     if cg.task == "classification" and cg.label_onehot:
         loss_kind = "ce"
     params = _params_of(model)
-    param_list = list(params.values())
-    opt = T.Adam(param_list, lr=lr)
+    opt = T.Adam(list(params.values()), lr=lr)
     view = compressed_view(cg)
-    target = cg.labels
 
-    val_view = val_target = None
+    stopper = None
     if val is not None:
         x_val, y_val = val
         edges = connect_to_compressed(x_val, cg.features, cg.metric, cg.epsilon, fallback_m)
         val_view = attach_view(cg, x_val, edges)
-        if cg.task == "classification":
-            val_target = _class_targets(y_val, cg.labels.shape[1])
-            val_loss_kind = "ce"
-        else:
-            val_target = np.asarray(y_val, dtype=np.float64).reshape(-1, 1)
-            val_loss_kind = "mse"
+        val_target, val_loss_kind = label_targets(y_val, cg.task, cg.labels.shape[1])
+        stopper = T.EarlyStopping(model.weights, patience)
 
     history: dict = {"loss": [], "loss_kind": loss_kind, "val_loss": [], "best_epoch": 0}
-    best_val = np.inf
-    best_weights = model.copy_weights()
-    stale = 0
     for epoch in range(epochs):
-        tape = T.Tape()
-        tape.watch(*param_list)
-        pred = predict_tensor(params, gnn_forward(params, model.kind, view), model.task)
-        loss = _loss_fn(pred, target, loss_kind)
-        opt.zero_grad()
-        tape.backward(loss)
-        tape.release()
-        opt.step()
-        history["loss"].append(loss.item())
-        if val_view is None:
+        history["loss"].append(opt.minimize(
+            lambda: _view_loss(params, model, view, cg.labels, loss_kind)))
+        if stopper is None:
             continue
-        val_pred = predict_tensor(params, gnn_forward(params, model.kind, val_view),
-                                  model.task)
-        val_loss = _loss_fn(val_pred, val_target, val_loss_kind).item()
+        val_loss = _view_loss(params, model, val_view, val_target, val_loss_kind).item()
         history["val_loss"].append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_weights = model.copy_weights()
-            history["best_epoch"] = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > patience:
-                break
-    if val_view is not None:
-        model.weights = best_weights
+        if stopper.update(epoch, val_loss):
+            break
+    if stopper is not None:
+        model.weights = stopper.best
+        history["best_epoch"] = stopper.best_epoch
     return history
 
 
@@ -317,15 +295,9 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     epsilon = cg.epsilon if epsilon is None else epsilon
     h_real = np.asarray(h_real, dtype=np.float64)
     n = h_real.shape[0]
-    if model.task == "classification":
-        targets = _class_targets(y_real, cg.labels.shape[1])
-        loss_kind = "ce"
-    else:
-        targets = np.asarray(y_real, dtype=np.float64).reshape(-1, 1)
-        loss_kind = "mse"
+    targets, loss_kind = label_targets(y_real, model.task, cg.labels.shape[1])
     params = _params_of(model)
-    param_list = list(params.values())
-    opt = T.Adam(param_list, lr=lr)
+    opt = T.Adam(list(params.values()), lr=lr)
     history: dict = {"loss": [], "loss_kind": loss_kind}
     comp_deg = cg.degrees()
     for _ in range(epochs):
@@ -336,15 +308,8 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
             edges = connect_to_compressed(h_real[take], cg.features, metric,
                                           epsilon, fallback_m)
             view = attach_view(cg, h_real[take], edges, comp_degrees=comp_deg)
-            tape = T.Tape()
-            tape.watch(*param_list)
-            pred = predict_tensor(params, gnn_forward(params, model.kind, view), model.task)
-            loss = _loss_fn(pred, targets[take], loss_kind)
-            opt.zero_grad()
-            tape.backward(loss)
-            tape.release()
-            opt.step()
-            total += loss.item() * take.size
+            total += opt.minimize(
+                lambda: _view_loss(params, model, view, targets[take], loss_kind)) * take.size
         history["loss"].append(total / n)
     return history
 

@@ -102,6 +102,14 @@ def _validate_bundle(b: DeployBundle) -> None:
         raise BundleIntegrityError(
             f"relation model emits {b.gnn.out_dim} classes, compressed labels "
             f"have {b.cg.labels.shape[1]}")
+    arrays = {f"relation model weight {k!r}": v for k, v in b.gnn.weights.items()}
+    if b.encoder is not None:
+        arrays.update({f"encoder weight {k!r}": v for k, v in b.encoder.weights.items()})
+    arrays["compressed features"] = b.cg.features
+    arrays["compressed labels"] = b.cg.labels
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise BundleIntegrityError(f"non-finite values in {name}")
 
 
 def _embed_input(b: DeployBundle, record):

@@ -3,8 +3,11 @@
 The tape covers exactly the primitives the pipeline composes: matmul,
 broadcast add/sub, hadamard/column products, the usual nonlinearities,
 row softmax, column concatenation and slicing, row gather, segment
-reductions, and the two losses. Everything is float64; no NaN or Inf may
-escape a loss.
+reductions, and the two losses, picked by name from `LOSSES`. Everything
+is float64; no NaN or Inf may escape a loss.
+
+Every trainer shares the same two parts: `Adam.minimize` is one training
+step, and `EarlyStopping` keeps the best weights against a validation loss.
 """
 
 from __future__ import annotations
@@ -397,8 +400,11 @@ def _check_loss(value: float) -> None:
         raise NumericFailureError(f"loss is not finite: {value}")
 
 
+LOSSES = {"ce": ce_loss, "mse": mse_loss}
+
+
 # ---------------------------------------------------------------------------
-# optimizer and gradient checking
+# optimizer, early stopping and gradient checking
 
 
 class Adam:
@@ -435,6 +441,39 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+    def minimize(self, build_loss: Callable[[], Tensor]) -> float:
+        """One step: record `build_loss()` on a fresh tape over the
+        parameters, backpropagate, release and update; returns the loss."""
+        tape = Tape()
+        tape.watch(*self.params)
+        loss = build_loss()
+        self.zero_grad()
+        tape.backward(loss)
+        tape.release()
+        self.step()
+        return loss.item()
+
+
+class EarlyStopping:
+    """Copies of the weights at the lowest validation loss so far (the
+    starting weights before any epoch). Only a strictly lower loss resets
+    the stale count; `update` says to stop once it exceeds `patience`."""
+
+    def __init__(self, weights: dict[str, np.ndarray], patience: int):
+        self.weights = weights  # the live dict the optimizer updates in place
+        self.patience = patience
+        self.best = {k: v.copy() for k, v in weights.items()}
+        self.best_loss, self.best_epoch, self.stale = np.inf, 0, 0
+
+    def update(self, epoch: int, loss: float) -> bool:
+        """Record one epoch's validation loss; True means stop training."""
+        if loss < self.best_loss:
+            self.best = {k: v.copy() for k, v in self.weights.items()}
+            self.best_loss, self.best_epoch, self.stale = loss, epoch, 0
+            return False
+        self.stale += 1
+        return self.stale > self.patience
 
 
 def finite_diff_check(build_loss: Callable[["Tape | None"], Tensor],

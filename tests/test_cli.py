@@ -247,6 +247,32 @@ def test_infer_rejects_integer_too_large_for_a_float():
         assert "finite" in tail["message"]
 
 
+@pytest.mark.parametrize("value", ['"zz"', '"1.5"'], ids=["word", "numeral string"])
+def test_infer_rejects_string_in_numerical_field_exit_3(value):
+    text = json.dumps(FIXTURE_RECORD).replace("3.0", value, 1)
+    assert value in text
+    result = infer_fixture(FIXTURES / "bundle_four_gate.json", text)
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.output.strip().splitlines()[-1])
+    assert tail["error"] == "SchemaViolationError"
+    assert tail["exit_code"] == 3
+    assert "'a' holds a str" in tail["message"]
+
+
+def test_infer_rejects_non_finite_bundle_exit_3(tmp_path):
+    bundle = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    bundle["gnn"]["weights"]["w_head"][0][0] = float("nan")
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    assert "NaN" in path.read_text()
+    result = infer_fixture(path, json.dumps(FIXTURE_RECORD))
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.output.strip().splitlines()[-1])
+    assert tail["error"] == "BundleIntegrityError"
+    assert tail["exit_code"] == 3
+    assert "non-finite" in tail["message"]
+
+
 def test_config_file_applies(workspace, tmp_path):
     runner, data = workspace["runner"], workspace["data"]
     cfg_file = tmp_path / "run.cfg"

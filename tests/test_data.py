@@ -64,6 +64,25 @@ def test_encode_event_missing_field_names_it():
         D.encode_event(schema, {"amt": 2.0})
 
 
+@pytest.mark.parametrize("value, message", [
+    ("zz", "holds a str"), ("1.5", "holds a str"), (True, "holds a bool"),
+    (None, "holds a NoneType"), (float("inf"), "holds a non-finite number"),
+    (float("-inf"), "holds a non-finite number"), (float("nan"), "holds a non-finite number"),
+    (10 ** 400, "holds a non-finite number"),
+], ids=["word", "numeral string", "bool", "null", "inf", "-inf", "nan", "huge int"])
+def test_encode_event_rejects_bad_numerical_value(value, message):
+    schema = D.fit_field_schema(make_dataset())
+    with pytest.raises(SchemaViolationError, match=f"'amt' {message}") as err:
+        D.encode_event(schema, {"amt": value, "kind": "B"})
+    assert err.value.exit_code == 3
+
+
+def test_encode_event_accepts_int_for_numerical_field():
+    schema = D.fit_field_schema(make_dataset())
+    assert np.array_equal(D.encode_event(schema, {"amt": 5, "kind": "A"}),
+                          D.encode_event(schema, {"amt": 5.0, "kind": "A"}))
+
+
 def test_encode_event_range_property():
     rng = np.random.default_rng(0)
     records = [D.Record(str(i), [{"a": float(rng.normal()), "b": str(rng.integers(3))}

@@ -10,6 +10,7 @@ from oracles import lstm_oracle, per_gate_weights
 import seqrel.tensor as T
 from seqrel import data as D
 from seqrel import encoder as E
+from seqrel import gnn as G
 from seqrel import infer as I
 from seqrel.exceptions import ArtifactError, BundleIntegrityError
 
@@ -77,7 +78,7 @@ def test_event_order_matters():
 
 def head(model, h):
     """The encoder's training-time head over embedding rows h."""
-    return E._head_tensor(E._as_tensors(model), T.constant(h), model.task).data
+    return G.predict_tensor(E._as_tensors(model), T.constant(h), model.task).data
 
 
 def test_head_zero_weights():
@@ -164,6 +165,19 @@ def test_patience_zero_stops_one_epoch_past_best():
     n = len(history["val_loss"])
     assert n < 40, "expected an early stop under an oscillating learning rate"
     assert n == history["best_epoch"] + 2
+
+
+def test_early_stopping_restores_best_weights():
+    train, val = separable_sets()
+    model, history = E.train_encoder(
+        train, val, hidden_dim=4, rng=np.random.default_rng(1),
+        lr=1.0, batch_size=14, max_epochs=40, patience=0)
+    assert len(history["val_loss"]) > history["best_epoch"] + 1
+    fresh, _ = E.train_encoder(
+        train, val, hidden_dim=4, rng=np.random.default_rng(1),
+        lr=1.0, batch_size=14, max_epochs=history["best_epoch"] + 1, patience=0)
+    assert model.weights.keys() == fresh.weights.keys()
+    assert all(np.array_equal(model.weights[k], fresh.weights[k]) for k in model.weights)
 
 
 def test_training_is_deterministic():

@@ -287,6 +287,11 @@ def test_validation_early_stopping_restores_best():
     history = G.train_on_compressed(m, cg, epochs=200, val=(x_val, y_val), patience=3)
     assert len(history["val_loss"]) <= 200
     assert history["best_epoch"] <= len(history["val_loss"]) - 1
+    assert len(history["val_loss"]) > history["best_epoch"] + 1  # restore has work to do
+    fresh = model_for("sage_mean", seed=24)
+    G.train_on_compressed(fresh, cg, epochs=history["best_epoch"] + 1)
+    assert m.weights.keys() == fresh.weights.keys()
+    assert all(np.array_equal(m.weights[k], fresh.weights[k]) for k in m.weights)
 
 
 def test_task_and_dim_mismatches():

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from test_encoder import FIXTURES
 
 import seqrel.tensor as T
 from seqrel import compress as C
@@ -7,7 +10,8 @@ from seqrel import data as D
 from seqrel import encoder as E
 from seqrel import gnn as G
 from seqrel import infer as I
-from seqrel.exceptions import BundleIntegrityError, DataError, ParameterError
+from seqrel.exceptions import (BundleIntegrityError, DataError, ParameterError,
+                               SchemaViolationError)
 from seqrel.graph import prep_rows
 from seqrel.ioutil import canonical_json
 
@@ -160,8 +164,8 @@ def test_non_finite_embedding_rejected():
             I.score(bundle, query)
         with pytest.raises(DataError, match="non-finite"):
             I.explain(bundle, query)
-    # an in-memory record never passes the JSONL checks; its NaN reaches the
-    # encoder and must not come out as a plausible score
+    # an in-memory record never passes the JSONL checks; its NaN must not
+    # come out as a plausible score
     bundle, _, _ = encoder_bundle()
     record = D.Record(id="q", events=[{"a": float("nan"), "b": "x"}])
     with pytest.raises(DataError, match="non-finite"):
@@ -244,3 +248,31 @@ def test_bundle_load_rejects_bad_payload(tmp_path):
     write_json_atomic(p, [1, 2])
     with pytest.raises(BundleIntegrityError):
         I.load_bundle(p)
+    # non-finite numbers; canonical JSON refuses them, plain json.dumps writes them
+    four_gate = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    for source, path, value, match in (
+            (I.bundle_to_dict(bundle), ("gnn", "weights", "w_head"), "nan", "w_head"),
+            (I.bundle_to_dict(bundle), ("gnn", "weights", "b_head"), "-inf", "b_head"),
+            (I.bundle_to_dict(bundle), ("compressed_graph", "features"), "inf", "features"),
+            (I.bundle_to_dict(bundle), ("compressed_graph", "labels"), "nan", "labels"),
+            (four_gate, ("encoder", "weights", "w_f"), "nan", "w_gates"),
+            (four_gate, ("encoder", "weights", "b_head"), "inf", "b_head")):
+        obj = json.loads(json.dumps(source))
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]][0][0] = float(value)
+        p.write_text(json.dumps(obj))
+        with pytest.raises(BundleIntegrityError, match=f"non-finite.*{match}"):
+            I.load_bundle(p)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), 10 ** 400],
+                         ids=["inf", "-inf", "int too large for a float"])
+def test_numerical_field_must_be_finite_at_scoring(value):
+    bundle = I.load_bundle(FIXTURES / "bundle_four_gate.json")
+    record = D.Record("q", [{"a": value, "b": "x"}])
+    for call in (I.score, I.explain):
+        with pytest.raises(SchemaViolationError, match="'a' holds a non-finite number") as err:
+            call(bundle, record)
+        assert err.value.exit_code == 3

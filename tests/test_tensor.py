@@ -211,6 +211,86 @@ def test_adam_runs_are_bit_identical():
     assert np.array_equal(run(), run())
 
 
+def _regression_problem(seed=12):
+    rng = np.random.default_rng(seed)
+    p = T.parameter(T.glorot_uniform(rng, 3, 2))
+    x = T.constant(rng.normal(size=(4, 3)))
+    t = T.constant(rng.normal(size=(4, 2)))
+    return p, x, t
+
+
+def test_adam_minimize_matches_hand_written_step():
+    p1, x, t = _regression_problem()
+    opt1 = T.Adam([p1], lr=0.01)
+    losses = []
+    for _ in range(3):
+        tape = T.Tape()
+        tape.watch(p1)
+        loss = T.mse_loss(T.matmul(x, p1), t)
+        opt1.zero_grad()
+        tape.backward(loss)
+        tape.release()
+        opt1.step()
+        losses.append(loss.item())
+
+    p2, _, _ = _regression_problem()
+    opt2 = T.Adam([p2], lr=0.01)
+    got = [opt2.minimize(lambda: T.mse_loss(T.matmul(x, p2), t)) for _ in range(3)]
+    assert got == losses
+    assert np.array_equal(p1.data, p2.data)
+    assert opt1.t == opt2.t == 3
+    assert np.array_equal(opt1._m[0], opt2._m[0])
+    assert np.array_equal(opt1._v[0], opt2._v[0])
+    assert p2.tape is None  # the step releases its tape
+
+
+def test_early_stopping_equal_loss_is_not_an_improvement():
+    stopper = T.EarlyStopping({"w": np.zeros((1, 1))}, patience=5)
+    assert not stopper.update(0, 1.0)
+    assert not stopper.update(1, 1.0)
+    assert (stopper.best_epoch, stopper.best_loss, stopper.stale) == (0, 1.0, 1)
+    assert not stopper.update(2, 0.5)
+    assert (stopper.best_epoch, stopper.stale) == (2, 0)
+
+
+def test_early_stopping_patience_zero_stops_at_first_miss():
+    stopper = T.EarlyStopping({"w": np.zeros((1, 1))}, patience=0)
+    assert not stopper.update(0, 3.0)
+    assert not stopper.update(1, 2.0)
+    assert stopper.update(2, 2.5)
+    assert stopper.best_epoch == 1
+
+
+def test_early_stopping_patience_counts_misses_in_a_row():
+    stopper = T.EarlyStopping({"w": np.zeros((1, 1))}, patience=2)
+    assert not stopper.update(0, 1.0)
+    assert not stopper.update(1, 1.5)
+    assert not stopper.update(2, 0.9)  # a strict improvement resets the count
+    assert not stopper.update(3, 0.9)
+    assert not stopper.update(4, 1.0)
+    assert stopper.update(5, 2.0)
+
+
+def test_early_stopping_best_weights_are_copies():
+    p, x, t = _regression_problem()
+    weights = {"w": p.data}
+    opt = T.Adam([p], lr=0.1)
+    stopper = T.EarlyStopping(weights, patience=3)
+    start = p.data.copy()
+    assert np.array_equal(stopper.best["w"], start)
+    opt.minimize(lambda: T.mse_loss(T.matmul(x, p), t))
+    assert not np.array_equal(p.data, start)
+    assert np.array_equal(stopper.best["w"], start)  # the in-place step left it alone
+    stopper.update(0, 1.0)
+    snapshot = p.data.copy()
+    for _ in range(2):
+        opt.minimize(lambda: T.mse_loss(T.matmul(x, p), t))
+    assert weights["w"] is p.data
+    assert not np.array_equal(p.data, snapshot)
+    assert np.array_equal(stopper.best["w"], snapshot)
+    assert stopper.best["w"] is not p.data
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
