@@ -7,7 +7,8 @@ and the candidate update produce the next cell and hidden state. The
 final hidden state is the sequence embedding.
 
 All four gates share one (schema width + H, 4H) weight `w_gates` and one
-(1, 4H) bias `b_gates`, in column blocks ordered i, f, o, g.
+(1, 4H) bias `b_gates`, in column blocks ordered i, f, o, g. One scan,
+`tensor.lstm_scan`, runs the cell for scoring, embedding and training.
 """
 
 from __future__ import annotations
@@ -59,35 +60,14 @@ def init_encoder(schema: FieldSchema, task: str, num_classes: int,
 
 
 # ---------------------------------------------------------------------------
-# numpy forward (inference)
-
-
-def _scan_np(weights: dict[str, np.ndarray], steps: np.ndarray) -> np.ndarray:
-    """Run the cell over a (T, width) event matrix; returns (1, F_s).
-
-    The input projection of every step is one matmul up front, so each
-    step multiplies only the hidden state by the recurrent rows.
-    """
-    w, width = weights["w_gates"], steps.shape[1]
-    hidden = w.shape[1] // 4
-    projected = steps @ w[:width] + weights["b_gates"]
-    w_rec = w[width:]
-    c = np.zeros((1, hidden))
-    gates = projected[:1]  # the hidden state starts at zero: no recurrent term
-    for t in range(steps.shape[0]):
-        if t:
-            gates = projected[t:t + 1] + h @ w_rec
-        ifo = T.logistic(gates[:, :3 * hidden])
-        g = np.tanh(gates[:, 3 * hidden:])
-        c = ifo[:, hidden:2 * hidden] * c + ifo[:, :hidden] * g
-        h = ifo[:, 2 * hidden:] * np.tanh(c)
-    return h
+# forward pass: one scan for scoring, embedding and training
 
 
 def encode_sequence(model: EncoderModel, record: Record) -> np.ndarray:
     """Final hidden state for one record, shape (hidden_dim,)."""
     steps = encode_record(model.schema, record)
-    return _scan_np(model.weights, steps)[0]
+    w = model.weights
+    return T.lstm_scan(steps[None], T.Tensor(w["w_gates"]), T.Tensor(w["b_gates"])).data[0]
 
 
 def embed_all(model: EncoderModel, dataset: SequenceDataset) -> np.ndarray:
@@ -95,32 +75,10 @@ def embed_all(model: EncoderModel, dataset: SequenceDataset) -> np.ndarray:
     return np.stack([encode_sequence(model, r) for r in dataset.records])
 
 
-# ---------------------------------------------------------------------------
-# taped forward (training)
-
-
-def _scan_tensor(params: dict[str, T.Tensor], steps: np.ndarray) -> T.Tensor:
-    """Batched scan over (B, T, width); returns the (B, F_s) tensor."""
-    batch, length = steps.shape[0], steps.shape[1]
-    hidden = params["w_gates"].cols // 4
-    h = T.constant(np.zeros((batch, hidden)))
-    c = T.constant(np.zeros((batch, hidden)))
-    for t in range(length):
-        z = T.concat_cols(T.constant(steps[:, t, :]), h)
-        gates = T.add(T.matmul(z, params["w_gates"]), params["b_gates"])
-        ifo = T.sigmoid(T.slice_cols(gates, 0, 3 * hidden))
-        i = T.slice_cols(ifo, 0, hidden)
-        f = T.slice_cols(ifo, hidden, 2 * hidden)
-        o = T.slice_cols(ifo, 2 * hidden, 3 * hidden)
-        g = T.tanh(T.slice_cols(gates, 3 * hidden, 4 * hidden))
-        c = T.add(T.mul(f, c), T.mul(i, g))
-        h = T.mul(o, T.tanh(c))
-    return h
-
-
 def encoder_loss(params: dict[str, T.Tensor], steps: np.ndarray,
                  targets: np.ndarray, task: str) -> T.Tensor:
-    pred = predict_tensor(params, _scan_tensor(params, steps), task)
+    """Head loss over the scan of a (B, T, width) batch of events."""
+    pred = predict_tensor(params, T.lstm_scan(steps, params["w_gates"], params["b_gates"]), task)
     return T.LOSSES["ce" if task == CLASSIFICATION else "mse"](pred, T.constant(targets))
 
 

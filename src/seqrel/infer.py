@@ -20,7 +20,7 @@ from . import data as D
 from . import encoder as E
 from . import gnn as G
 from .exceptions import (ArtifactError, BundleIntegrityError, DataError,
-                         ParameterError, SeqrelError)
+                         NumericFailureError, ParameterError, SeqrelError)
 from .graph import METRICS, connect_from_sims, prep_rows
 from .ioutil import read_json, write_json_atomic
 
@@ -159,6 +159,8 @@ def score(b: DeployBundle, record) -> ScoreResult:
     out = G.predict_view(b.gnn, G.attach_view(b.cg, h, edges,
                                               comp_degrees=b._comp_degrees))
     timing["gnn_s"] = time.perf_counter() - start
+    if not np.isfinite(out[0]).all():
+        raise NumericFailureError(f"relation model output is not finite: {out[0].tolist()}")
     timing["total_s"] = timing["encode_s"] + timing["connect_s"] + timing["gnn_s"]
     return ScoreResult(id=rid, score=_positive_score(b, out[0]),
                        output=out[0].tolist(), timing=timing)

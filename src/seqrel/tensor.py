@@ -2,9 +2,10 @@
 
 The tape covers exactly the primitives the pipeline composes: matmul,
 broadcast add/sub, hadamard/column products, the usual nonlinearities,
-row softmax, column concatenation and slicing, row gather, segment
-reductions, and the two losses, picked by name from `LOSSES`. Everything
-is float64; no NaN or Inf may escape a loss.
+row softmax, column concatenation, row gather, segment reductions, the
+LSTM scan `lstm_scan` (one node for a whole batch of sequences), and the
+two losses, picked by name from `LOSSES`. Everything is float64; no NaN
+or Inf may escape a loss.
 
 Every trainer shares the same two parts: `Adam.minimize` is one training
 step, and `EarlyStopping` keeps the best weights against a validation loss.
@@ -57,18 +58,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a 1x1 matrix, got {self.shape}")
         return float(self.data[0, 0])
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -274,17 +263,67 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start:stop of a, copied."""
-    if not 0 <= start < stop <= a.cols:
-        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
+def lstm_scan(steps: np.ndarray, w_gates: Tensor, b_gates: Tensor) -> Tensor:
+    """Final hidden state (B, H) of an LSTM over a (B, T, width) event
+    array from a zero state. `w_gates` stacks the event rows over the
+    recurrent rows, in gate column blocks i, f, o, g. The input projection
+    is one matmul up front. One tape node, whose backward is backpropagation
+    through time; activations are kept only while a parent is on a tape."""
+    w, hidden = w_gates.data, w_gates.cols // 4
+    if (steps.ndim != 3 or steps.shape[1] < 1 or b_gates.shape != (1, 4 * hidden)
+            or w.shape != (steps.shape[2] + hidden, 4 * hidden)):
+        raise DimensionError(f"lstm_scan shape mismatch: steps {steps.shape}, "
+                             f"w_gates {w.shape}, b_gates {b_gates.shape}")
+    batch, length, width = steps.shape
+    x = steps.reshape(batch * length, width)
+    projected = (x @ w[:width] + b_gates.data).reshape(batch, length, 4 * hidden)
+    w_rec = w[width:]
+    taped = w_gates.tape is not None or b_gates.tape is not None
+    if taped:
+        acts = np.empty_like(projected)  # i, f, o, g after their nonlinearities
+        cells = np.empty((batch, length, hidden))
+    c = np.zeros((batch, hidden))
+    gates = projected[:, 0]  # the hidden state starts at zero: no recurrent term
+    for t in range(length):
+        if t:
+            gates = projected[:, t] + h @ w_rec
+        ifo = logistic(gates[:, :3 * hidden])
+        g = np.tanh(gates[:, 3 * hidden:])
+        c = ifo[:, hidden:2 * hidden] * c + ifo[:, :hidden] * g
+        h = ifo[:, 2 * hidden:] * np.tanh(c)
+        if taped:
+            acts[:, t, :3 * hidden], acts[:, t, 3 * hidden:], cells[:, t] = ifo, g, c
+    if not taped:
+        return Tensor(h)
+    tanh_cells = np.tanh(cells)
+    memo = [None, None]  # the last output gradient and its gate gradients
 
-    def pull(g):
-        out = np.zeros_like(a.data)
-        out[:, start:stop] = g
-        return out
+    def sweep(g_out):
+        """Gate-input gradients, one (B, T, 4H) buffer filled from the back."""
+        if memo[0] is not g_out:
+            d, dh, dc = np.empty_like(acts), g_out, np.zeros_like(g_out)
+            for t in range(length - 1, -1, -1):
+                i, f, o, g = (acts[:, t, k * hidden:(k + 1) * hidden] for k in range(4))
+                tc = tanh_cells[:, t]
+                dc = dc + dh * o * (1.0 - tc * tc)
+                d[:, t, :hidden] = dc * g * i * (1.0 - i)
+                d[:, t, hidden:2 * hidden] = dc * cells[:, t - 1] * f * (1.0 - f) if t else 0.0
+                d[:, t, 2 * hidden:3 * hidden] = dh * tc * o * (1.0 - o)
+                d[:, t, 3 * hidden:] = dc * i * (1.0 - g * g)
+                dc = dc * f
+                if t:
+                    dh = d[:, t] @ w_rec.T
+            memo[:] = g_out, d
+        return memo[1]
 
-    return _make(np.ascontiguousarray(a.data[:, start:stop]), [(a, pull)])
+    def pull_w(g_out):
+        d = sweep(g_out)
+        h_prev = acts[:, :-1, 2 * hidden:3 * hidden] * tanh_cells[:, :-1]
+        return np.concatenate([x.T @ d.reshape(-1, 4 * hidden),
+                               h_prev.reshape(-1, hidden).T @ d[:, 1:].reshape(-1, 4 * hidden)])
+
+    return _make(h, [(w_gates, pull_w),
+                     (b_gates, lambda g_out: sweep(g_out).sum(axis=(0, 1)).reshape(1, -1))])
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -299,17 +338,16 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(data, [(a, pull)])
 
 
-def _segment_spans(segments: np.ndarray, num_segments: int):
+def _segment_spans(segments: np.ndarray):
     """Segment ids must be sorted non-decreasing; returns run boundaries."""
-    uniq, starts = np.unique(segments, return_index=True)
-    return uniq, starts
+    return np.unique(segments, return_index=True)
 
 
 def segment_sum(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     segments = np.asarray(segments, dtype=np.intp)
     out = np.zeros((num_segments, a.cols))
     if segments.size:
-        uniq, starts = _segment_spans(segments, num_segments)
+        uniq, starts = _segment_spans(segments)
         out[uniq] = np.add.reduceat(a.data, starts, axis=0)
     return _make(out, [(a, lambda g: g[segments] if segments.size else np.zeros_like(a.data))])
 
@@ -320,7 +358,7 @@ def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     out = np.zeros((num_segments, a.cols))
     counts = np.ones(num_segments)
     if segments.size:
-        uniq, starts = _segment_spans(segments, num_segments)
+        uniq, starts = _segment_spans(segments)
         counts[uniq] = np.diff(np.append(starts, segments.size))
         out[uniq] = np.add.reduceat(a.data, starts, axis=0)
         out /= counts[:, None]
@@ -343,7 +381,7 @@ def segment_max(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     out = np.zeros((num_segments, a.cols))
     spans = []
     if segments.size:
-        uniq, starts = _segment_spans(segments, num_segments)
+        uniq, starts = _segment_spans(segments)
         ends = np.append(starts[1:], segments.size)
         spans = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
         out[uniq] = np.maximum.reduceat(a.data, starts, axis=0)

@@ -2,9 +2,14 @@
 
 Everything here is deliberately written as plain per-pair / per-element
 loops with no shared code paths with the package. Slow and obvious wins.
+The one exception is `taped_lstm_oracle`: it composes the tape's
+elementary primitives, so its gradients check the hand-written backward
+of `tensor.lstm_scan`.
 """
 
 import numpy as np
+
+from seqrel import tensor as T
 
 
 def sim_oracle(x, y, metric):
@@ -204,4 +209,20 @@ def lstm_oracle(weights, steps):
         g = np.tanh(z @ weights["w_g"] + weights["b_g"])
         c = f * c + i * g
         h = o * np.tanh(c)
+    return h
+
+
+def taped_lstm_oracle(gates, steps):
+    """The pass of `lstm_oracle` over a (B, T, width) batch, built from
+    matmul, concat_cols, add, sigmoid, tanh and mul over four per-gate
+    weight tensors w_i..w_g and biases b_i..b_g; returns the final (B, H)
+    hidden-state tensor, recorded when the gate tensors are on a tape."""
+    batch, hidden = steps.shape[0], gates["w_i"].cols
+    h = T.constant(np.zeros((batch, hidden)))
+    c = T.constant(np.zeros((batch, hidden)))
+    for t in range(steps.shape[1]):
+        z = T.concat_cols(T.constant(steps[:, t, :]), h)
+        i, f, o, g = (T.add(T.matmul(z, gates[f"w_{k}"]), gates[f"b_{k}"]) for k in "ifog")
+        c = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
+        h = T.mul(T.sigmoid(o), T.tanh(c))
     return h

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 from test_encoder import FIXTURES, bad_gate_sets
+from test_infer import overflowing_bundle
 
 from seqrel import pipeline as P
 from seqrel.cli import main
@@ -271,6 +272,17 @@ def test_infer_rejects_non_finite_bundle_exit_3(tmp_path):
     assert tail["error"] == "BundleIntegrityError"
     assert tail["exit_code"] == 3
     assert "non-finite" in tail["message"]
+
+
+def test_infer_rejects_non_finite_output_exit_4(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(overflowing_bundle()))
+    result = infer_fixture(path, json.dumps(FIXTURE_RECORD))
+    assert result.exit_code == 4, result.output
+    tail = json.loads(result.output.strip().splitlines()[-1])
+    assert tail["error"] == "NumericFailureError"
+    assert tail["exit_code"] == 4
+    assert "not finite" in tail["message"]
 
 
 def test_config_file_applies(workspace, tmp_path):

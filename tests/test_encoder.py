@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lstm_oracle, per_gate_weights
+from oracles import lstm_oracle, per_gate_weights, taped_lstm_oracle
 
 import seqrel.tensor as T
 from seqrel import data as D
@@ -266,10 +266,50 @@ def test_taped_scan_matches_numpy_scan_per_row(batch, hidden, width, length, sca
     model = scaled_model(width, hidden, scale, seed)
     ds = D.SequenceDataset(random_records(width, length, batch, seed + 2))
     steps = D.encode_dataset(model.schema, ds)
-    taped = E._scan_tensor(E._as_tensors(model), steps).data
+    params = E._as_tensors(model)
+    tape = T.Tape()
+    tape.watch(params["w_gates"], params["b_gates"])
+    taped = T.lstm_scan(steps, params["w_gates"], params["b_gates"]).data
+    tape.release()
+    # off the tape the scan runs the same arithmetic
+    assert np.array_equal(T.lstm_scan(steps, params["w_gates"], params["b_gates"]).data, taped)
+    gates = per_gate_weights(model.weights["w_gates"], model.weights["b_gates"])
     for row in range(batch):
-        want = E._scan_np(model.weights, steps[row])[0]
+        want = lstm_oracle(gates, steps[row])[0]
         assert np.max(np.abs(taped[row] - want)) <= 1e-12
+
+
+def scan_gradients(scan, params, watched, target):
+    tape = T.Tape()
+    tape.watch(*watched)
+    tape.backward(T.mse_loss(scan(params), target))
+    tape.release()
+    return {k: v.grad for k, v in params.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 5), watched=st.sampled_from([("w_gates", "b_gates"),
+                                                         ("w_gates",), ("b_gates",)]),
+       **scan_shapes)
+def test_scan_gradients_match_per_gate_taped_oracle(batch, watched, hidden, width, length,
+                                                    scale, seed):
+    model = scaled_model(width, hidden, scale, seed)
+    ds = D.SequenceDataset(random_records(width, length, batch, seed + 3))
+    steps = D.encode_dataset(model.schema, ds)
+    target = T.constant(np.random.default_rng(seed).normal(size=(batch, hidden)))
+    fused = {k: T.Tensor(model.weights[k].copy()) for k in ("w_gates", "b_gates")}
+    got = scan_gradients(lambda p: T.lstm_scan(steps, p["w_gates"], p["b_gates"]),
+                         fused, [fused[k] for k in watched], target)
+    gates = {k: T.Tensor(v.copy()) for k, v in
+             per_gate_weights(model.weights["w_gates"], model.weights["b_gates"]).items()}
+    oracle = scan_gradients(lambda p: taped_lstm_oracle(p, steps), gates,
+                            list(gates.values()), target)
+    for key in fused:
+        if key not in watched:
+            assert got[key] is None
+            continue
+        want = np.concatenate([oracle[f"{key[0]}_{g}"] for g in E.GATES], axis=1)
+        assert np.max(np.abs(got[key] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from seqrel import data as D
 from seqrel import encoder as E
 from seqrel import gnn as G
 from seqrel import infer as I
-from seqrel.exceptions import (BundleIntegrityError, DataError, ParameterError,
-                               SchemaViolationError)
+from seqrel.exceptions import (BundleIntegrityError, DataError, NumericFailureError,
+                               ParameterError, SchemaViolationError)
 from seqrel.graph import prep_rows
 from seqrel.ioutil import canonical_json
 
@@ -170,6 +170,28 @@ def test_non_finite_embedding_rejected():
     record = D.Record(id="q", events=[{"a": float("nan"), "b": "x"}])
     with pytest.raises(DataError, match="non-finite"):
         I.score(bundle, record)
+
+
+def overflowing_bundle() -> dict:
+    """The four-gate fixture with w_conv and w_head times 1e300: every
+    weight is still finite, so the bundle loads, but the output overflows."""
+    bundle = json.loads((FIXTURES / "bundle_four_gate.json").read_text())
+    for key in ("w_conv", "w_head"):
+        bundle["gnn"]["weights"][key] = (np.array(bundle["gnn"]["weights"][key]) * 1e300).tolist()
+    return bundle
+
+
+def test_non_finite_output_raises_numeric_failure(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(overflowing_bundle()))
+    bundle = I.load_bundle(path)
+    record = D.Record("q", [{"a": 3.0, "b": "x"}, {"a": 7.0, "b": "y"}])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailureError, match="not finite") as err:
+            I.score(bundle, record)
+        with pytest.raises(NumericFailureError, match="record q"):
+            I.score_batch(bundle, [record])
+    assert err.value.exit_code == 4
 
 
 def test_explain_ranking_and_provenance():

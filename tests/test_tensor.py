@@ -376,23 +376,37 @@ def test_grad_concat_gather_segments():
     assert T.finite_diff_check(build, [w]) < 1e-4
 
 
-def test_grad_slice_cols():
-    rng = np.random.default_rng(7)
-    w = rand(rng, 3, 6)
-    x = T.constant(rng.normal(size=(4, 3)))
-    t = T.constant(rng.normal(size=(4, 2)))
+def _lstm_problem(seed):
+    """Gate weights and bias for event width 2 and hidden width 3, a batch
+    of 4 sequences of 3 steps, and a target for the final hidden state."""
+    rng = np.random.default_rng(seed)
+    return (rand(rng, 2 + 3, 12), rand(rng, 1, 12), rng.normal(size=(4, 3, 2)),
+            T.constant(rng.normal(size=(4, 3))))
+
+
+def test_grad_lstm_scan():
+    w, b, steps, t = _lstm_problem(7)
 
     def build(tape):
-        z = T.matmul(x, w)
-        left = T.sigmoid(T.slice_cols(z, 0, 2))
-        right = T.tanh(T.slice_cols(z, 4, 6))
-        return T.mse_loss(T.mul(left, right), t)  # columns 2:4 get no gradient
+        return T.mse_loss(T.lstm_scan(steps, w, b), t)
 
-    assert T.finite_diff_check(build, [w]) < 1e-6
+    assert T.finite_diff_check(build, [w, b]) < 1e-6
+    for bad in (steps[:, :, :1], steps[:, :0], steps[0]):
+        with pytest.raises(DimensionError):
+            T.lstm_scan(bad, w, b)
     with pytest.raises(DimensionError):
-        T.slice_cols(w, 4, 7)
-    with pytest.raises(DimensionError):
-        T.slice_cols(w, 3, 3)
+        T.lstm_scan(steps, w, T.constant(np.zeros((1, 8))))
+
+
+def test_lstm_scan_off_the_tape_records_nothing(monkeypatch):
+    w, b, steps, t = _lstm_problem(8)
+    T.Adam([w, b], lr=0.01).minimize(lambda: T.mse_loss(T.lstm_scan(steps, w, b), t))
+    assert w.requires_grad and w.tape is None and b.tape is None  # released
+    recorded = []
+    monkeypatch.setattr(T.Tape, "_record", lambda self, out, pulls: recorded.append(out))
+    out = T.lstm_scan(steps, w, b)
+    assert out.tape is None and not out.requires_grad
+    assert recorded == []
 
 
 def test_grad_leaky_relu_and_bias_sub():
