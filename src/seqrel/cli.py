@@ -15,7 +15,6 @@ from pathlib import Path
 
 import click
 
-from . import bench as B
 from . import data as D
 from . import infer as I
 from . import pipeline as P
@@ -204,12 +203,11 @@ def finetune(compressed_path, gnn_path, embeddings_path, encoder_path,
     compressed_path = compressed_path or out / P.COMPRESSED_FILE
     gnn_path = gnn_path or out / P.GNN_FILE
     embeddings_path = embeddings_path or out / P.EMBEDDINGS_FILE
-    if not no_encoder:
-        encoder_path = encoder_path or out / P.ENCODER_FILE
-        if not Path(encoder_path).exists():
-            encoder_path = None
-    else:
+    # only the default encoder path is optional; an explicit one must exist
+    if no_encoder:
         encoder_path = None
+    elif encoder_path is None and (out / P.ENCODER_FILE).exists():
+        encoder_path = out / P.ENCODER_FILE
     result = P.run_finetune(cfg, compressed_path, gnn_path, embeddings_path,
                             out_dir, encoder_path=encoder_path)
     history = result["history"]
@@ -249,7 +247,7 @@ def infer(bundle_path, input_path, as_embeddings, output_path, out_dir):
     for rid, res in zip(ids, results):
         lines.append(canonical_json({
             "id": rid, "score": res.score,
-            "latency_s": res.timing["total_s"]}).rstrip("\n"))
+            "latency_s": res.latency_s}).rstrip("\n"))
     text = "\n".join(lines) + "\n"
     if output_path is None:
         click.echo(text, nl=False)
@@ -300,41 +298,6 @@ def _metric_table(metrics: dict) -> str:
     width = max(len(k) for k in metrics)
     lines = [f"{k.ljust(width)}  {v:.6f}" for k, v in sorted(metrics.items())]
     return "\n".join(lines)
-
-
-@main.command("bench")
-@click.option("--embeddings", "embeddings_path", default=None,
-              type=click.Path())
-@click.option("--test-embeddings", "test_path", required=True,
-              type=click.Path())
-@click.option("--sweep", default=None,
-              help="comma-separated cluster counts, e.g. 100,500")
-@config_options
-@guarded
-def bench(embeddings_path, test_path, sweep, profile, config_path, overrides,
-          seed, out_dir):
-    """Benchmark compression, training, and per-sample inference latency."""
-    cfg = build_config(profile, config_path, overrides, seed)
-    embeddings_path = embeddings_path or Path(out_dir) / P.EMBEDDINGS_FILE
-    train_ids, train_x, train_y = P._load_labels(
-        P.require_file(embeddings_path, "embed"), cfg.task)
-    _, test_x, test_y = P._load_labels(P.require_file(test_path), cfg.task)
-    if sweep:
-        try:
-            counts = [int(tok) for tok in sweep.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"--sweep expects integers, got {sweep!r}") from None
-    else:
-        counts = [cfg.clusters]
-    reports = B.sweep_benchmark(cfg, counts, train_x, train_y, train_ids,
-                                test_x, test_y)
-    out = Path(out_dir) / "bench_report.json"
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    B.save_reports(out, reports)
-    P.write_manifest(out_dir, "bench", cfg, {"runs": len(reports)},
-                     [embeddings_path, test_path], [out])
-    click.echo(B.format_table(reports), nl=False)
-    click.echo(f"wrote {out}")
 
 
 @main.command("run-all")

@@ -4,8 +4,9 @@ A bundle packages the sequence encoder (optional), the trained relation
 model, the compressed graph, and the connection rule. Scoring embeds one
 record (or accepts a precomputed embedding), wires it to similar compressed
 nodes, and runs one message-passing step; the original training corpus is
-never needed. Explanations rank compressed nodes by embedding similarity
-and trace them back to representative training sequences.
+never needed. Each score carries one latency, the wall time of the whole
+call. Explanations rank compressed nodes by embedding similarity and trace
+them back to representative training sequences.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ScoreResult:
     id: "str | None"
     score: float
     output: list
-    timing: dict
+    latency_s: float
 
 
 @dataclass
@@ -113,23 +114,21 @@ def _validate_bundle(b: DeployBundle) -> None:
 
 
 def _embed_input(b: DeployBundle, record):
-    """Return (record id or None, embedding row (1, D), encode seconds)."""
+    """Return (record id or None, embedding row (1, D))."""
     if isinstance(record, D.Record):
         if b.encoder is None:
             raise BundleIntegrityError(
                 "bundle has no encoder; provide precomputed embeddings")
-        start = time.perf_counter()
-        h = E.encode_sequence(b.encoder, record)
-        rid, encode_s = record.id, time.perf_counter() - start
+        rid, h = record.id, E.encode_sequence(b.encoder, record)
     else:
         h = np.asarray(record, dtype=np.float64).reshape(-1)
         if h.shape[0] != b.cg.dim:
             raise BundleIntegrityError(
                 f"embedding has width {h.shape[0]}, bundle expects {b.cg.dim}")
-        rid, encode_s = None, 0.0
+        rid = None
     if not np.isfinite(h).all():
         raise DataError("embedding has non-finite values")
-    return rid, h.reshape(1, -1), encode_s
+    return rid, h.reshape(1, -1)
 
 
 def _positive_score(b: DeployBundle, row: np.ndarray) -> float:
@@ -142,32 +141,33 @@ def _embed_and_connect(b: DeployBundle, record):
     """Embed one input and wire it to the compressed nodes.
 
     Returns (record id or None, embedding row (1, D), similarity row (K,),
-    edges, timing with encode_s and connect_s). The similarity row matches
-    similarity_matrix(h, cg.features, metric) bit for bit."""
-    rid, h, encode_s = _embed_input(b, record)
-    start = time.perf_counter()
+    edges). The similarity row matches similarity_matrix(h, cg.features,
+    metric) bit for bit."""
+    rid, h = _embed_input(b, record)
     sims = np.clip(prep_rows(h, b.metric) @ b._comp_prepped.T, -1.0, 1.0)
     edges = connect_from_sims(sims, b.epsilon, b.fallback_m)
-    timing = {"encode_s": encode_s, "connect_s": time.perf_counter() - start}
-    return rid, h, sims[0], edges, timing
+    return rid, h, sims[0], edges
 
 
 def score(b: DeployBundle, record) -> ScoreResult:
-    """Embed, connect, and run one relation-model step for a single input."""
-    rid, h, _, edges, timing = _embed_and_connect(b, record)
+    """Embed, connect, and run one relation-model step for a single input;
+    latency_s is the wall time of the whole call."""
     start = time.perf_counter()
-    out = G.predict_view(b.gnn, G.attach_view(b.cg, h, edges,
-                                              comp_degrees=b._comp_degrees))
-    timing["gnn_s"] = time.perf_counter() - start
+    rid, h, _, edges = _embed_and_connect(b, record)
+    # an overflow surfaces as the non-finite check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = G.predict_view(b.gnn, G.attach_view(b.cg, h, edges,
+                                                  comp_degrees=b._comp_degrees))
     if not np.isfinite(out[0]).all():
         raise NumericFailureError(f"relation model output is not finite: {out[0].tolist()}")
-    timing["total_s"] = timing["encode_s"] + timing["connect_s"] + timing["gnn_s"]
     return ScoreResult(id=rid, score=_positive_score(b, out[0]),
-                       output=out[0].tolist(), timing=timing)
+                       output=out[0].tolist(),
+                       latency_s=time.perf_counter() - start)
 
 
 def score_batch(b: DeployBundle, records) -> tuple:
-    """Score records one by one; returns (results, aggregate timing)."""
+    """Score records one by one; returns (results, latency aggregate with
+    count, mean_s and p99_s over the per-record latency_s)."""
     results = []
     for idx, record in enumerate(records):
         try:
@@ -177,7 +177,7 @@ def score_batch(b: DeployBundle, records) -> tuple:
             raise type(exc)(f"record {rid}: {exc}") from exc
     if not results:
         return results, {"count": 0, "mean_s": 0.0, "p99_s": 0.0}
-    lat = np.array([r.timing["total_s"] for r in results])
+    lat = np.array([r.latency_s for r in results])
     agg = {"count": len(results), "mean_s": float(lat.mean()),
            "p99_s": float(np.percentile(lat, 99))}
     return results, agg
@@ -188,7 +188,7 @@ def explain(b: DeployBundle, record, top_r: int = 5) -> list:
     each to its representative training sequence."""
     if top_r < 1:
         raise ParameterError(f"top_r must be at least 1, got {top_r}")
-    _, _, sims, edges, _ = _embed_and_connect(b, record)
+    _, _, sims, edges = _embed_and_connect(b, record)
     connected = set(edges[:, 1].tolist())
     order = np.argsort(-sims, kind="stable")[:min(top_r, b.cg.k)]
     return [Explanation(cluster=int(j), representative_id=b.cg.medoid_ids[j],

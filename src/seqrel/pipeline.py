@@ -181,6 +181,11 @@ def run_finetune(cfg: PipelineConfig, compressed_path, gnn_path,
     cg = C.load_compressed(require_file(compressed_path, "compress"))
     model = G.load_gnn(require_file(gnn_path, "train-gnn"))
     _, x, y = _load_labels(require_file(embeddings_path, "embed"), cfg.task)
+    encoder = None
+    inputs = [compressed_path, gnn_path, embeddings_path]
+    if encoder_path is not None:
+        encoder = E.load_encoder(require_file(encoder_path, "train-encoder"))
+        inputs.append(encoder_path)
     start = time.perf_counter()
     history = G.finetune_correlation(
         model, x, y, cg, metric=cfg.metric, epsilon=cfg.epsilon,
@@ -190,11 +195,6 @@ def run_finetune(cfg: PipelineConfig, compressed_path, gnn_path,
     elapsed = time.perf_counter() - start
     out_model = out_dir / FINETUNED_FILE
     G.save_gnn(out_model, model)
-    encoder = None
-    inputs = [compressed_path, gnn_path, embeddings_path]
-    if encoder_path is not None:
-        encoder = E.load_encoder(require_file(encoder_path, "train-encoder"))
-        inputs.append(encoder_path)
     bundle = I.build_bundle(encoder, model, cg, metric=cfg.metric,
                             epsilon=cfg.epsilon, fallback_m=cfg.fallback_m)
     out_bundle = out_dir / BUNDLE_FILE

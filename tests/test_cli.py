@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from test_encoder import FIXTURES, bad_gate_sets
 from test_infer import overflowing_bundle
 
+from seqrel import compress as C
 from seqrel import pipeline as P
 from seqrel.cli import main
 
@@ -135,17 +136,44 @@ def test_eval_prints_table(workspace, tmp_path):
     assert (tmp_path / P.EVAL_FILE).exists()
 
 
-def test_bench_command(workspace, tmp_path):
+def test_embeddings_only_chain_per_cluster_count(workspace, tmp_path):
+    runner, out = workspace["runner"], workspace["out"]
+    embeddings = str(out / P.EMBEDDINGS_FILE)
+    for k in (4, 6):
+        run = tmp_path / f"k{k}"
+        flags = ["--out-dir", str(run), "--set", f"clusters={k}",
+                 "--set", "gnn_hidden=6", "--set", "gnn_epochs=3",
+                 "--set", "epsilon=0.5"]
+        for step in (["compress", "--embeddings", embeddings],
+                     ["train-gnn"],
+                     ["finetune", "--embeddings", embeddings, "--no-encoder"],
+                     ["eval", "--test", embeddings, "--embeddings"]):
+            result = runner.invoke(main, [*step, *flags])
+            assert result.exit_code == 0, (k, step, result.output)
+        assert C.load_compressed(run / P.COMPRESSED_FILE).k == k
+        assert json.loads((run / P.BUNDLE_FILE).read_text())["encoder"] is None
+        report = json.loads((run / P.EVAL_FILE).read_text())
+        assert set(report["metrics"]) == {"auprc", "recall_at_precision"}
+        for command, key in (("compress", "compress_s"), ("train_gnn", "train_s"),
+                             ("finetune", "finetune_s"), ("eval", "latency")):
+            manifest = json.loads((run / f"manifest_{command}.json").read_text())
+            assert key in manifest["timings"], command
+        assert manifest["timings"]["latency"]["mean_s"] > 0.0
+
+
+def test_finetune_explicit_missing_encoder_exit_3(workspace, tmp_path):
     runner, out = workspace["runner"], workspace["out"]
     result = runner.invoke(main, [
-        "bench", "--embeddings", str(out / P.EMBEDDINGS_FILE),
-        "--test-embeddings", str(out / P.EMBEDDINGS_FILE),
-        "--sweep", "4,8", "--out-dir", str(tmp_path),
-        "--set", "gnn_hidden=6", "--set", "gnn_epochs=3",
-        "--set", "epsilon=0.5"])
-    assert result.exit_code == 0, result.output
-    assert result.output.splitlines()[0].startswith("#Nodes")
-    assert (tmp_path / "bench_report.json").exists()
+        "finetune", "--compressed", str(out / P.COMPRESSED_FILE),
+        "--gnn", str(out / P.GNN_FILE),
+        "--embeddings", str(out / P.EMBEDDINGS_FILE),
+        "--encoder", str(tmp_path / "NO_SUCH_encoder.json"),
+        "--out-dir", str(tmp_path), *workspace["flags"]])
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.output.strip().splitlines()[-1])
+    assert tail["error"] == "ArtifactError"
+    assert "train-encoder" in tail["message"]
+    assert not (tmp_path / P.BUNDLE_FILE).exists()
 
 
 def test_missing_dependency_exit_code_3(workspace, tmp_path):
@@ -174,6 +202,9 @@ def test_unknown_option_exit_code_2(workspace):
     runner, out = workspace["runner"], workspace["out"]
     result = runner.invoke(main, ["compress", "--mystery"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["bench"])
+    assert result.exit_code == 2
+    assert "No such command 'bench'" in result.output
     # serving commands take no config: a profile or override is an error
     for command, flag in (("infer", ["--set", "x=1"]),
                           ("explain", ["--profile", "fraud"])):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,20 @@ def test_compressed_graph_save_load_round_trip(tmp_path):
     path2 = tmp_path / "compressed2.json"
     C.save_compressed(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.slow
+def test_compression_time_grows_with_cluster_count():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4000, 16))
+    y = (x[:, 0] > 0).astype(int)
+    ids = [str(i) for i in range(4000)]
+    seconds = []
+    for k in (2, 256):
+        start = time.perf_counter()
+        C.compress_graph(x, y, ids, k=k, mode="centroid",
+                         task="classification", metric="cosine", epsilon=0.5,
+                         pos_ratio=0.5, rng=np.random.default_rng(0),
+                         per_class=False)
+        seconds.append(time.perf_counter() - start)
+    assert seconds[0] <= seconds[1]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -44,8 +45,7 @@ def test_score_on_compressed_feature_row():
     assert np.isfinite(res.output).all()
     assert abs(sum(res.output) - 1.0) < 1e-9
     assert 0.0 <= res.score <= 1.0
-    for key in ("encode_s", "connect_s", "gnn_s", "total_s"):
-        assert res.timing[key] >= 0.0
+    assert res.latency_s >= 0.0
 
 
 def test_score_below_epsilon_uses_fallback():
@@ -108,7 +108,6 @@ def test_encoder_route_matches_manual_embedding():
     via_vector = I.score(bundle, x[5])
     assert via_record.output == via_vector.output
     assert via_record.id == "t5"
-    assert via_record.timing["encode_s"] > 0.0
 
 
 def test_score_batch_matches_single_and_permutes():
@@ -186,7 +185,9 @@ def test_non_finite_output_raises_numeric_failure(tmp_path):
     path.write_text(json.dumps(overflowing_bundle()))
     bundle = I.load_bundle(path)
     record = D.Record("q", [{"a": 3.0, "b": "x"}, {"a": 7.0, "b": "y"}])
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the failure is the typed error alone, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericFailureError, match="not finite") as err:
             I.score(bundle, record)
         with pytest.raises(NumericFailureError, match="record q"):
