@@ -37,14 +37,13 @@ class Record:
 
 @dataclass
 class SequenceDataset:
-    """Uniform-length records with labels of a single kind."""
+    """Records with labels of a single kind. Event counts may differ:
+    scoring encodes one record at a time, and `encode_dataset`, which
+    stacks a training batch, is where they must agree."""
 
     records: list[Record]
 
     def __post_init__(self):
-        lengths = {len(r.events) for r in self.records}
-        if len(lengths) > 1:
-            raise SchemaViolationError(f"records have mixed event counts: {sorted(lengths)}")
         kinds = {type(r.label).__name__ for r in self.records if r.label is not None}
         if kinds - {"int"} and kinds - {"float"}:
             raise TaskMismatchError(f"labels mix kinds: {sorted(kinds)}")
@@ -228,6 +227,9 @@ def encode_dataset(schema: FieldSchema, dataset: SequenceDataset) -> np.ndarray:
     """(N, T, width) tensor of all encoded events in record order."""
     if not dataset.records:
         raise EmptyInputError("dataset has no records")
+    lengths = {len(r.events) for r in dataset.records}
+    if len(lengths) > 1:
+        raise SchemaViolationError(f"records have mixed event counts: {sorted(lengths)}")
     return np.stack([encode_record(schema, r) for r in dataset.records])
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit codes used by the CLI: 2 for usage/config problems, 3 for data or
-artifact format problems, 4 for numeric failures during training.
+artifact format problems, 4 for numeric failures: a non-finite loss in
+training or a non-finite model output at scoring.
 """
 
 

@@ -8,9 +8,14 @@ affine prediction head does.
 
 Views are directed: an edge (src, dst) moves a message from src to dst.
 Training on a compressed graph symmetrizes its undirected edges; query
-attachment keeps only compressed-to-query edges, so a node's output
-depends solely on its own features and its in-neighbors. That is what
-makes single-sample scoring independent of the original corpus size.
+attachment keeps only compressed-to-query edges, and only the compressed
+rows those edges reference, so a node's output depends solely on its own
+features and its in-neighbors. That is what makes single-sample scoring
+independent of the original corpus size.
+
+The conv splits in two: `propagate`, the half that needs no weights, and
+the dense half. Training propagates each view once and runs only the
+dense half in its epochs.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .exceptions import (
     ParameterError,
     TaskMismatchError,
 )
-from .graph import connect_to_compressed
+from .graph import connect_prepped, connect_to_compressed, prep_rows
 from .ioutil import read_json, write_json_atomic
 
 CONV_KINDS = ("gcn", "sage_mean", "sage_max", "gat")
@@ -98,25 +103,34 @@ def compressed_view(cg: CompressedGraph) -> GraphView:
 def attach_view(cg: CompressedGraph, x_query: np.ndarray,
                 connect_edges: np.ndarray,
                 comp_degrees: np.ndarray | None = None) -> GraphView:
-    """Queries appended after the compressed nodes, receiving messages
-    only from compressed nodes. Query-to-query edges never exist, so a
-    query's output is independent of what else is in the batch.
-    Compressed degrees still count the compressed adjacency; pass
-    cg.degrees() as comp_degrees to skip recounting per call."""
+    """Compact view of queries wired to the compressed graph.
+
+    Rows are the compressed nodes that some edge references, in ascending
+    order, followed by the queries, which are the targets. Queries receive
+    messages only from compressed nodes and query-to-query edges never
+    exist, so a query's output is independent of what else is in the
+    batch, and a compressed node no query reads costs nothing. Compressed
+    degrees still count the compressed adjacency; pass cg.degrees() as
+    comp_degrees to skip recounting per call."""
     x_query = np.asarray(x_query, dtype=np.float64)
     if x_query.shape[1] != cg.dim:
         raise DimensionError(f"query width {x_query.shape[1]} != compressed width {cg.dim}")
-    k, b = cg.k, x_query.shape[0]
+    b = x_query.shape[0]
     connect_edges = np.asarray(connect_edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = _sort_edges(connect_edges[:, 1], k + connect_edges[:, 0])
+    used = np.zeros(cg.k, dtype=bool)
+    used[connect_edges[:, 1]] = True
+    rows = np.flatnonzero(used)
+    # ranks are monotone, so the edges keep the full view's (dst, src) order
+    src, dst = _sort_edges(np.searchsorted(rows, connect_edges[:, 1]),
+                           rows.size + connect_edges[:, 0])
     q_deg = np.bincount(connect_edges[:, 0], minlength=b)
     if comp_degrees is None:
         comp_degrees = cg.degrees()
     return GraphView(
-        features=np.concatenate([cg.features, x_query]),
+        features=np.concatenate([cg.features[rows], x_query]),
         edge_src=src, edge_dst=dst,
-        degrees=np.concatenate([comp_degrees + 1, q_deg + 1]),
-        targets=k + np.arange(b, dtype=np.intp))
+        degrees=np.concatenate([comp_degrees[rows] + 1, q_deg + 1]),
+        targets=rows.size + np.arange(b, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -139,58 +153,70 @@ def _target_edges(view: GraphView):
     return view.edge_src[keep], view.edge_dst[keep], idx_of[view.edge_dst[keep]]
 
 
+def propagate(view: GraphView, kind: str):
+    """The weight-free half of the conv over the view's target rows.
+
+    gcn: the symmetric-normalized neighbor sum plus the self term; sage:
+    the self rows beside the mean- or max-pooled neighbor rows (zero rows
+    without neighbors). For these the conv is relu(P @ w_conv). gat: the
+    plan its attention runs on, (features, src, dst, run starts, targets),
+    with self-loops added and edges sorted by (dst, src)."""
+    x = view.features
+    if kind == "gat":
+        loops = np.arange(view.num_nodes, dtype=np.intp)
+        src, dst = _sort_edges(np.concatenate([view.edge_src, loops]),
+                               np.concatenate([view.edge_dst, loops]))
+        return x, src, dst, np.unique(dst, return_index=True)[1], view.targets
+    if kind not in CONV_KINDS:
+        raise ParameterError(f"unknown conv kind {kind!r}")
+    src_t, dst_orig, dst_t = _target_edges(view)
+    n_t = view.targets.size
+    if kind == "gcn":
+        d = view.degrees.astype(np.float64)
+        coef = 1.0 / np.sqrt(d[src_t] * d[dst_orig])
+        agg = T.segment_reduce(np.add, x[src_t] * coef.reshape(-1, 1), dst_t, n_t)
+        return agg + x[view.targets] * (1.0 / d[view.targets]).reshape(-1, 1)
+    if kind == "sage_mean":
+        counts = np.maximum(np.bincount(dst_t, minlength=n_t), 1).astype(np.float64)
+        neigh = T.segment_reduce(np.add, x[src_t], dst_t, n_t) / counts[:, None]
+    else:
+        neigh = T.segment_reduce(np.maximum, x[src_t], dst_t, n_t)
+    return np.concatenate([x[view.targets], neigh], axis=1)
+
+
+def _attend(params: dict[str, T.Tensor], plan) -> T.Tensor:
+    """gat's taped attention over a plan from `propagate`, before the ReLU."""
+    x, src, dst, starts, targets = plan
+    n = x.shape[0]
+    z = T.matmul(T.constant(x), params["w_conv"])
+    s_self = T.matmul(z, params["att_self"])
+    s_neigh = T.matmul(z, params["att_neigh"])
+    e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)),
+                     alpha=LEAKY_SLOPE)
+    # max-shift per destination for stable exponentials; softmax is
+    # shift-invariant so treating the shift as a constant is exact
+    shift = np.maximum.reduceat(e.data[:, 0], starts)[dst]
+    ex = T.exp(T.sub(e, T.constant(shift.reshape(-1, 1))))
+    denom = T.segment_sum(ex, dst, n)
+    alpha = T.div(ex, T.gather_rows(denom, dst))
+    h_all = T.segment_sum(T.mul(T.gather_rows(z, src), alpha), dst, n)
+    return T.gather_rows(h_all, targets)
+
+
+def _dense(params: dict[str, T.Tensor], kind: str, propagated) -> T.Tensor:
+    """The half of the conv that holds the weights, on `propagate`'s output."""
+    width = (propagated[0] if kind == "gat" else propagated).shape[1]
+    if width != params["w_conv"].rows:
+        raise DimensionError(f"propagated width {width} != conv input "
+                             f"{params['w_conv'].rows}")
+    if kind == "gat":
+        return T.relu(_attend(params, propagated))
+    return T.relu(T.matmul(T.constant(propagated), params["w_conv"]))
+
+
 def gnn_forward(params: dict[str, T.Tensor], kind: str, view: GraphView) -> T.Tensor:
     """Representations of the view's target rows, (len(targets), F_w)."""
-    n = view.num_nodes
-    x = T.constant(view.features)
-    src, dst = view.edge_src, view.edge_dst
-    if kind == "gcn":
-        if view.features.shape[1] != params["w_conv"].rows:
-            raise DimensionError(f"feature width {view.features.shape[1]} != "
-                                 f"conv input {params['w_conv'].rows}")
-        d = view.degrees.astype(np.float64)
-        src_t, dst_orig, dst_t = _target_edges(view)
-        coef = 1.0 / np.sqrt(d[src_t] * d[dst_orig])
-        msgs = T.mul(T.gather_rows(x, src_t), T.constant(coef.reshape(-1, 1)))
-        agg = T.segment_sum(msgs, dst_t, view.targets.size)
-        self_term = T.mul(T.gather_rows(x, view.targets),
-                          T.constant((1.0 / d[view.targets]).reshape(-1, 1)))
-        h = T.matmul(T.add(agg, self_term), params["w_conv"])
-    elif kind in ("sage_mean", "sage_max"):
-        if 2 * view.features.shape[1] != params["w_conv"].rows:
-            raise DimensionError(f"feature width {view.features.shape[1]} != "
-                                 f"conv input {params['w_conv'].rows} / 2")
-        src_t, _, dst_t = _target_edges(view)
-        gathered = T.gather_rows(x, src_t)
-        pool = T.segment_mean if kind == "sage_mean" else T.segment_max
-        neigh = pool(gathered, dst_t, view.targets.size)
-        both = T.concat_cols(T.gather_rows(x, view.targets), neigh)
-        h = T.matmul(both, params["w_conv"])
-    elif kind == "gat":
-        if view.features.shape[1] != params["w_conv"].rows:
-            raise DimensionError(f"feature width {view.features.shape[1]} != "
-                                 f"conv input {params['w_conv'].rows}")
-        z = T.matmul(x, params["w_conv"])
-        s_self = T.matmul(z, params["att_self"])
-        s_neigh = T.matmul(z, params["att_neigh"])
-        loops = np.arange(n, dtype=np.intp)
-        asrc, adst = _sort_edges(np.concatenate([src, loops]),
-                                 np.concatenate([dst, loops]))
-        e = T.leaky_relu(T.add(T.gather_rows(s_self, adst), T.gather_rows(s_neigh, asrc)),
-                         alpha=LEAKY_SLOPE)
-        # max-shift per destination for stable exponentials; softmax is
-        # shift-invariant so treating the shift as a constant is exact
-        shift = np.zeros((n, 1))
-        uniq, starts = np.unique(adst, return_index=True)
-        shift[uniq, 0] = np.maximum.reduceat(e.data[:, 0], starts)
-        ex = T.exp(T.sub(e, T.constant(shift[adst])))
-        denom = T.segment_sum(ex, adst, n)
-        alpha = T.div(ex, T.gather_rows(denom, adst))
-        h_all = T.segment_sum(T.mul(T.gather_rows(z, asrc), alpha), adst, n)
-        h = T.gather_rows(h_all, view.targets)
-    else:
-        raise ParameterError(f"unknown conv kind {kind!r}")
-    return T.relu(h)
+    return _dense(params, kind, propagate(view, kind))
 
 
 def predict_tensor(params: dict[str, T.Tensor], h: T.Tensor, task: str) -> T.Tensor:
@@ -225,9 +251,9 @@ def label_targets(labels, task: str, num_classes: int) -> tuple[np.ndarray, str]
     return np.asarray(labels, dtype=np.float64).reshape(-1, 1), "mse"
 
 
-def _view_loss(params: dict[str, T.Tensor], model: GnnModel, view: GraphView,
-               target: np.ndarray, loss_kind: str) -> T.Tensor:
-    pred = predict_tensor(params, gnn_forward(params, model.kind, view), model.task)
+def _loss(params: dict[str, T.Tensor], model: GnnModel, propagated,
+          target: np.ndarray, loss_kind: str) -> T.Tensor:
+    pred = predict_tensor(params, _dense(params, model.kind, propagated), model.task)
     return T.LOSSES[loss_kind](pred, T.constant(target))
 
 
@@ -251,23 +277,23 @@ def train_on_compressed(model: GnnModel, cg: CompressedGraph, *,
         loss_kind = "ce"
     params = _params_of(model)
     opt = T.Adam(list(params.values()), lr=lr)
-    view = compressed_view(cg)
+    prop = propagate(compressed_view(cg), model.kind)
 
     stopper = None
     if val is not None:
         x_val, y_val = val
         edges = connect_to_compressed(x_val, cg.features, cg.metric, cg.epsilon, fallback_m)
-        val_view = attach_view(cg, x_val, edges)
+        val_prop = propagate(attach_view(cg, x_val, edges), model.kind)
         val_target, val_loss_kind = label_targets(y_val, cg.task, cg.labels.shape[1])
         stopper = T.EarlyStopping(model.weights, patience)
 
     history: dict = {"loss": [], "loss_kind": loss_kind, "val_loss": [], "best_epoch": 0}
     for epoch in range(epochs):
         history["loss"].append(opt.minimize(
-            lambda: _view_loss(params, model, view, cg.labels, loss_kind)))
+            lambda: _loss(params, model, prop, cg.labels, loss_kind)))
         if stopper is None:
             continue
-        val_loss = _view_loss(params, model, val_view, val_target, val_loss_kind).item()
+        val_loss = _loss(params, model, val_prop, val_target, val_loss_kind).item()
         history["val_loss"].append(val_loss)
         if stopper.update(epoch, val_loss):
             break
@@ -284,8 +310,9 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     """Refine the model by predicting real nodes from compressed messages.
 
     Real embeddings are batched; each batch connects to the compressed
-    graph and the loss compares real-node predictions against their
-    labels. Compressed features are inputs only and are never updated.
+    rows, prepared once, and the loss compares real-node predictions
+    against their labels. Compressed features are inputs only and are
+    never updated.
     """
     if cg.k < 1:
         raise EmptyInputError("cannot fine-tune against an empty compressed graph")
@@ -299,17 +326,18 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     params = _params_of(model)
     opt = T.Adam(list(params.values()), lr=lr)
     history: dict = {"loss": [], "loss_kind": loss_kind}
-    comp_deg = cg.degrees()
+    comp_deg, comp_prepped = cg.degrees(), prep_rows(cg.features, metric)
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             take = order[start:start + batch_size]
-            edges = connect_to_compressed(h_real[take], cg.features, metric,
-                                          epsilon, fallback_m)
-            view = attach_view(cg, h_real[take], edges, comp_degrees=comp_deg)
+            _, edges = connect_prepped(h_real[take], comp_prepped, metric,
+                                       epsilon, fallback_m)
+            prop = propagate(attach_view(cg, h_real[take], edges, comp_degrees=comp_deg),
+                             model.kind)
             total += opt.minimize(
-                lambda: _view_loss(params, model, view, targets[take], loss_kind)) * take.size
+                lambda: _loss(params, model, prop, targets[take], loss_kind)) * take.size
         history["loss"].append(total / n)
     return history
 

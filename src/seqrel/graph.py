@@ -149,21 +149,29 @@ def connect_from_sims(sims: np.ndarray, epsilon: float,
     return np.column_stack([src, dst]) if src.size else _empty_edges()
 
 
+def connect_prepped(x_query: np.ndarray, comp_prepped: np.ndarray, metric: str,
+                    epsilon: float, fallback_m: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(similarities, bipartite edges) of query rows against compressed
+    rows already passed through prep_rows; see connect_from_sims. The
+    similarities match similarity_matrix(x_query, x_comp, metric) bit for
+    bit."""
+    q = prep_rows(x_query, metric)
+    if q.shape[1] != comp_prepped.shape[1]:
+        raise DimensionError(f"similarity width mismatch: {q.shape[1]} vs "
+                             f"{comp_prepped.shape[1]}")
+    sims = np.clip(q @ comp_prepped.T, -1.0, 1.0)
+    return sims, connect_from_sims(sims, epsilon, fallback_m)
+
+
 def connect_to_compressed(x_query: np.ndarray, x_comp: np.ndarray, metric: str,
                           epsilon: float, fallback_m: int = 1) -> np.ndarray:
     """Bipartite edges (query_row, compressed_row); see connect_from_sims."""
     x_query = np.asarray(x_query, dtype=np.float64)
-    x_comp = np.asarray(x_comp, dtype=np.float64)
-    if x_comp.shape[0] < 1:
-        raise ParameterError("need at least one compressed node")
-    if fallback_m < 1:
-        raise ParameterError(f"fallback_m must be >= 1, got {fallback_m}")
-    out = []
+    comp_prepped = prep_rows(x_comp, metric)
+    out = [_empty_edges()]
     for start in range(0, x_query.shape[0], _BLOCK):
-        stop = min(start + _BLOCK, x_query.shape[0])
-        sims = similarity_matrix(x_query[start:stop], x_comp, metric)
-        edges = connect_from_sims(sims, epsilon, fallback_m)
+        edges = connect_prepped(x_query[start:start + _BLOCK], comp_prepped, metric,
+                                epsilon, fallback_m)[1]
         edges[:, 0] += start
         out.append(edges)
-    return np.concatenate(out) if out else _empty_edges()
-
+    return np.concatenate(out)

@@ -22,7 +22,7 @@ from . import encoder as E
 from . import gnn as G
 from .exceptions import (ArtifactError, BundleIntegrityError, DataError,
                          NumericFailureError, ParameterError, SeqrelError)
-from .graph import METRICS, connect_from_sims, prep_rows
+from .graph import METRICS, connect_prepped, prep_rows
 from .ioutil import read_json, write_json_atomic
 
 BUNDLE_FORMAT_VERSION = 1
@@ -144,8 +144,7 @@ def _embed_and_connect(b: DeployBundle, record):
     edges). The similarity row matches similarity_matrix(h, cg.features,
     metric) bit for bit."""
     rid, h = _embed_input(b, record)
-    sims = np.clip(prep_rows(h, b.metric) @ b._comp_prepped.T, -1.0, 1.0)
-    edges = connect_from_sims(sims, b.epsilon, b.fallback_m)
+    sims, edges = connect_prepped(h, b._comp_prepped, b.metric, b.epsilon, b.fallback_m)
     return rid, h, sims[0], edges
 
 

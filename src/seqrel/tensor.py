@@ -2,7 +2,7 @@
 
 The tape covers exactly the primitives the pipeline composes: matmul,
 broadcast add/sub, hadamard/column products, the usual nonlinearities,
-row softmax, column concatenation, row gather, segment reductions, the
+row softmax, column concatenation, row gather, segment sums, the
 LSTM scan `lstm_scan` (one node for a whole batch of sequences), and the
 two losses, picked by name from `LOSSES`. Everything is float64; no NaN
 or Inf may escape a loss.
@@ -338,63 +338,22 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(data, [(a, pull)])
 
 
-def _segment_spans(segments: np.ndarray):
-    """Segment ids must be sorted non-decreasing; returns run boundaries."""
-    return np.unique(segments, return_index=True)
+def segment_reduce(op: np.ufunc, values: np.ndarray, segments: np.ndarray,
+                   num_segments: int) -> np.ndarray:
+    """`op` (np.add, np.maximum) over the rows of each segment, in row
+    order; segment ids must be sorted non-decreasing, and empty segments
+    yield zero rows."""
+    out = np.zeros((num_segments, values.shape[1]))
+    if segments.size:
+        uniq, starts = np.unique(segments, return_index=True)
+        out[uniq] = op.reduceat(values, starts, axis=0)
+    return out
 
 
 def segment_sum(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     segments = np.asarray(segments, dtype=np.intp)
-    out = np.zeros((num_segments, a.cols))
-    if segments.size:
-        uniq, starts = _segment_spans(segments)
-        out[uniq] = np.add.reduceat(a.data, starts, axis=0)
+    out = segment_reduce(np.add, a.data, segments, num_segments)
     return _make(out, [(a, lambda g: g[segments] if segments.size else np.zeros_like(a.data))])
-
-
-def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Row mean per segment; empty segments yield zero rows."""
-    segments = np.asarray(segments, dtype=np.intp)
-    out = np.zeros((num_segments, a.cols))
-    counts = np.ones(num_segments)
-    if segments.size:
-        uniq, starts = _segment_spans(segments)
-        counts[uniq] = np.diff(np.append(starts, segments.size))
-        out[uniq] = np.add.reduceat(a.data, starts, axis=0)
-        out /= counts[:, None]
-
-    def pull(g):
-        if not segments.size:
-            return np.zeros_like(a.data)
-        return g[segments] / counts[segments, None]
-
-    return _make(out, [(a, pull)])
-
-
-def segment_max(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Columnwise max per segment; empty segments yield zero rows.
-
-    Gradient flows to the first row attaining the max in each column,
-    which keeps tie-breaking deterministic.
-    """
-    segments = np.asarray(segments, dtype=np.intp)
-    out = np.zeros((num_segments, a.cols))
-    spans = []
-    if segments.size:
-        uniq, starts = _segment_spans(segments)
-        ends = np.append(starts[1:], segments.size)
-        spans = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
-        out[uniq] = np.maximum.reduceat(a.data, starts, axis=0)
-
-    def pull(g):
-        ga = np.zeros_like(a.data)
-        for seg, start, end in spans:
-            block = a.data[start:end]
-            winners = np.argmax(block, axis=0)
-            ga[start + winners, np.arange(a.cols)] += g[seg]
-        return ga
-
-    return _make(out, [(a, pull)])
 
 
 LOG_CLAMP = 1e-12

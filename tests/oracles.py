@@ -2,13 +2,16 @@
 
 Everything here is deliberately written as plain per-pair / per-element
 loops with no shared code paths with the package. Slow and obvious wins.
-The one exception is `taped_lstm_oracle`: it composes the tape's
-elementary primitives, so its gradients check the hand-written backward
-of `tensor.lstm_scan`.
+The exceptions build on the package on purpose: `taped_lstm_oracle`
+composes the tape's elementary primitives, so its gradients check the
+hand-written backward of `tensor.lstm_scan`, and `full_attach_view_oracle`
+and `per_epoch_training_oracle` are the earlier, unhoisted forms of code
+that now takes a shortcut.
 """
 
 import numpy as np
 
+from seqrel import gnn as G
 from seqrel import tensor as T
 
 
@@ -226,3 +229,53 @@ def taped_lstm_oracle(gates, steps):
         c = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
         h = T.mul(T.sigmoid(o), T.tanh(c))
     return h
+
+
+def full_attach_view_oracle(cg, x_query, connect_edges):
+    """Queries appended after all K compressed rows, with edges sorted by
+    (dst, src): the view before attachment kept only connected rows."""
+    k, b = cg.k, x_query.shape[0]
+    connect_edges = np.asarray(connect_edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = connect_edges[:, 1], k + connect_edges[:, 0]
+    order = np.lexsort((src, dst))
+    return G.GraphView(
+        features=np.concatenate([cg.features, x_query]),
+        edge_src=src[order], edge_dst=dst[order],
+        degrees=np.concatenate([cg.degrees() + 1,
+                                np.bincount(connect_edges[:, 0], minlength=b) + 1]),
+        targets=k + np.arange(b, dtype=np.intp))
+
+
+def per_epoch_training_oracle(model, cg, *, lr=5e-3, epochs=50, val=None,
+                              patience=10, fallback_m=1):
+    """`gnn.train_on_compressed` as it was before propagation was hoisted:
+    every epoch and every validation pass runs the whole conv on its view."""
+    loss_kind = "ce" if cg.task == "classification" and cg.label_onehot else "mse"
+    params = {k: T.Tensor(v) for k, v in model.weights.items()}
+    opt = T.Adam(list(params.values()), lr=lr)
+    view = G.compressed_view(cg)
+
+    def loss(v, target, kind):
+        pred = G.predict_tensor(params, G.gnn_forward(params, model.kind, v), model.task)
+        return T.LOSSES[kind](pred, T.constant(target))
+
+    stopper = None
+    if val is not None:
+        x_val, y_val = val
+        edges = G.connect_to_compressed(x_val, cg.features, cg.metric, cg.epsilon,
+                                        fallback_m)
+        val_view = full_attach_view_oracle(cg, x_val, edges)
+        val_target, val_kind = G.label_targets(y_val, cg.task, cg.labels.shape[1])
+        stopper = T.EarlyStopping(model.weights, patience)
+    history = {"loss": [], "loss_kind": loss_kind, "val_loss": [], "best_epoch": 0}
+    for epoch in range(epochs):
+        history["loss"].append(opt.minimize(lambda: loss(view, cg.labels, loss_kind)))
+        if stopper is None:
+            continue
+        history["val_loss"].append(loss(val_view, val_target, val_kind).item())
+        if stopper.update(epoch, history["val_loss"][-1]):
+            break
+    if stopper is not None:
+        model.weights = stopper.best
+        history["best_epoch"] = stopper.best_epoch
+    return history

@@ -329,3 +329,52 @@ def test_config_file_applies(workspace, tmp_path):
     manifest = json.loads((out / "manifest_train_encoder.json").read_text())
     assert manifest["config"]["embed_dim"] == 8
     assert manifest["config"]["encoder_epochs"] == 1
+
+
+def mixed_length_records(labeled=False):
+    """Twelve records of 2 to 6 events in the four-gate fixture's schema."""
+    out = []
+    for i in range(12):
+        rec = {"id": f"r{i}", "events": [{"a": float(i + t), "b": "xy"[(i + t) % 2]}
+                                         for t in range(2 + i % 5)]}
+        if labeled:
+            rec["label"] = i % 2
+        out.append(rec)
+    return out
+
+
+def write_jsonl(path: Path, records) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("command,field", [("infer", "score"), ("explain", "explanations")])
+def test_scoring_accepts_mixed_event_counts(command, field, tmp_path):
+    records = mixed_length_records()
+    assert sorted({len(r["events"]) for r in records}) == [2, 3, 4, 5, 6]
+
+    def run(path):
+        result = CliRunner().invoke(main, [command, "--bundle",
+                                           str(FIXTURES / "bundle_four_gate.json"),
+                                           "--input", str(path)])
+        assert result.exit_code == 0, result.output
+        return [json.loads(ln) for ln in result.output.splitlines() if ln.startswith("{")]
+
+    together = run(write_jsonl(tmp_path / "mixed.jsonl", records))
+    assert len(together) == len(records)
+    for rec, got in zip(records, together):
+        alone = run(write_jsonl(tmp_path / "one.jsonl", [rec]))
+        assert (got["id"], got[field]) == (rec["id"], alone[0][field])
+
+
+def test_train_encoder_rejects_mixed_event_counts_exit_3(tmp_path):
+    records = mixed_length_records(labeled=True)
+    result = CliRunner().invoke(main, [
+        "train-encoder", "--train", str(write_jsonl(tmp_path / "train.jsonl", records)),
+        "--val", str(write_jsonl(tmp_path / "val.jsonl", records[:2])),
+        "--out-dir", str(tmp_path / "out"), "--set", "embed_dim=4",
+        "--set", "encoder_epochs=1"])
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.output.strip().splitlines()[-1])
+    assert tail["error"] == "SchemaViolationError"
+    assert "mixed event counts" in tail["message"]

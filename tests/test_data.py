@@ -97,8 +97,10 @@ def test_encode_event_range_property():
 
 
 def test_dataset_rejects_ragged_and_mixed_labels():
-    with pytest.raises(SchemaViolationError):
-        D.SequenceDataset([D.Record("a", [{"v": 1}], 0), D.Record("b", [{"v": 1}, {"v": 2}], 0)])
+    ragged = D.SequenceDataset([D.Record("a", [{"v": 1}], 0),
+                                D.Record("b", [{"v": 1}, {"v": 2}], 0)])
+    with pytest.raises(SchemaViolationError, match="mixed event counts"):
+        D.encode_dataset(D.fit_field_schema(ragged), ragged)
     with pytest.raises(TaskMismatchError):
         D.SequenceDataset([D.Record("a", [{"v": 1}], 0), D.Record("b", [{"v": 1}], 0.5)])
 

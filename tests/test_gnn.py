@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqrel.tensor as T
-from oracles import gnn_forward_oracle
+from oracles import full_attach_view_oracle, gnn_forward_oracle, per_epoch_training_oracle
 from seqrel import gnn as G
 from seqrel.compress import CompressedGraph
 from seqrel.exceptions import DimensionError, EmptyInputError, TaskMismatchError
@@ -335,3 +337,41 @@ def test_gnn_save_load_round_trip(tmp_path):
     path2 = tmp_path / "gnn2.json"
     G.save_gnn(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), d=st.integers(1, 6), b=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_compact_view_matches_full_view(k, d, b, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, d))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    comp_edges = [p for p in pairs if rng.random() < 0.3]
+    cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=k)], comp_edges)
+    queries = rng.normal(size=(b, d))
+    all_pairs = np.array([(q, j) for q in range(b) for j in range(k)])
+    edges = all_pairs[rng.random(len(all_pairs)) < rng.uniform(0.0, 0.6)]
+    edges = edges[rng.permutation(len(edges))].reshape(-1, 2)
+    compact = G.attach_view(cg, queries, edges)
+    full = full_attach_view_oracle(cg, queries, edges)
+    assert compact.num_nodes == np.unique(edges[:, 1]).size + b
+    for kind in G.CONV_KINDS:
+        m = model_for(kind, in_dim=d, seed=seed % 1000)
+        got, want = G.predict_view(m, compact), G.predict_view(m, full)
+        if kind == "gat":
+            assert np.abs(got - want).max() <= 1e-12
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage_mean", "sage_max"])
+@pytest.mark.parametrize("with_val", [False, True], ids=["budget", "early-stop"])
+def test_hoisted_training_matches_per_epoch_loop(kind, with_val):
+    cg = two_blob_cg(k=10)
+    rng = np.random.default_rng(29)
+    val = (rng.normal(size=(12, 3)) * 3.0, rng.integers(0, 2, size=12)) if with_val else None
+    hoisted, looped = model_for(kind, seed=30), model_for(kind, seed=30)
+    got = G.train_on_compressed(hoisted, cg, epochs=40, val=val, patience=3)
+    want = per_epoch_training_oracle(looped, cg, epochs=40, val=val, patience=3)
+    assert got == want
+    assert all(np.array_equal(hoisted.weights[k], looped.weights[k]) for k in looped.weights)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import masked_sigmoid
 
+from seqrel import gnn as G
 from seqrel import tensor as T
 from seqrel.exceptions import DimensionError, NumericFailureError
 
@@ -147,8 +148,13 @@ def test_segment_ops_match_loop_oracle():
     seg = np.array([0, 0, 2, 2, 2, 4])
     num = 5
     s = T.segment_sum(T.constant(x), seg, num).data
-    m = T.segment_mean(T.constant(x), seg, num).data
-    mx = T.segment_max(T.constant(x), seg, num).data
+    # the pools live in G.propagate: node i sends row i to node seg[i],
+    # and the sage rows put the pooled neighbors after the self columns
+    view = G.GraphView(features=x, edge_src=np.arange(6), edge_dst=seg,
+                       degrees=np.bincount(seg, minlength=6) + 1,
+                       targets=np.arange(num))
+    m = G.propagate(view, "sage_mean")[:, 3:]
+    mx = G.propagate(view, "sage_max")[:, 3:]
     for k in range(num):
         rows = x[seg == k]
         if len(rows) == 0:
@@ -370,7 +376,8 @@ def test_grad_concat_gather_segments():
     def build(tape):
         h = T.matmul(x, w)
         rows = T.gather_rows(h, idx)
-        pooled = T.concat_cols(T.segment_mean(rows, seg, 3), T.segment_max(rows, seg, 3))
+        pooled = T.concat_cols(T.segment_sum(rows, seg, 3),
+                               T.segment_sum(T.tanh(rows), seg, 3))
         return T.mse_loss(pooled, t)
 
     assert T.finite_diff_check(build, [w]) < 1e-4
