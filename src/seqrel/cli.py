@@ -22,7 +22,7 @@ from . import synth as S
 from .config import (PROFILES, apply_overrides, load_config_file,
                      profile_config)
 from .exceptions import ConfigError, SeqrelError
-from .ioutil import canonical_json, write_json_atomic, write_text_atomic
+from .ioutil import canonical_json, write_text_atomic
 
 
 def _fail(exc: SeqrelError) -> None:

@@ -6,11 +6,49 @@ label rows are transported through the assignment matrix: the cluster
 average in centroid mode, or the medoid member row in medoid mode. The
 compressed adjacency reuses the threshold graph rule on the compressed
 features, keeping one similarity definition end to end.
+
+Lloyd's assignments are exact: every pass returns the labels of the full
+pass, which scores each point against every center as
+fl(x2 - 2 x.c + c2) and takes the first minimum. From the second pass on,
+points are grouped by their previous label a, and a center c_j is dropped
+for the whole group when the triangle bound (Elkan, "Using the triangle
+inequality to accelerate k-means", ICML 2003) shows it cannot win:
+
+- Bound. If every member lies within R of c_a and S = |c_a - c_j|, each
+  member has |x - c_j|^2 - |x - c_a|^2 >= S^2 - 2 R S. When that exceeds
+  2e, the full pass's value for c_j is above its value for c_a even after
+  rounding, so c_j is neither its pick nor a tie. With R and S^2 taken
+  from computed values widened by e, the test is
+  S^2 - e > (R + sqrt(R^2 + 2e))^2, whose right side is raised by a
+  relative 2^-20 to cover the few roundings in computing it.
+- Slack e bounds |fl(x2 - 2 x.c + c2) - |x - c|^2| for any summation
+  order. A D-term dot product is off by at most gamma_D |x||c|, and each
+  sum of squares by gamma_D |x|^2 or |c|^2, where gamma_D = D u / (1 - D u)
+  and u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
+  section 3.1). The two additions add u each on at most (|x| + |c|)^2. So
+  the error is below (D + 3) u (|x| + |c|)^2 <= 4 (D + 3) u M^2 to first
+  order, where M^2 is the largest computed row sum of squares over the
+  pool's points and centers. The code takes e = 16 (D + 8) eps M^2, at
+  least eight times that, which also covers M itself being rounded; a
+  D * tiny term covers products that underflow. The same e holds for the
+  members' own distances (einsum) and the center-to-center distances.
+- Fallback. Members are scored against the kept centers in one product per
+  group. Its values and the full pass's are each within e of the exact
+  ones, so a point whose best and second-best values differ by more than
+  4e has the full pass's pick. A point within 4e takes its label from the
+  full pass's own expression over its whole block of _ASSIGN_BLOCK rows,
+  because on OpenBLAS a product over a subset of rows or columns of
+  x @ C.T does not keep the full product's bits.
+- Cost. The bounded pass runs only when its products, plus a fixed cost
+  per group, do fewer multiply-adds than the full pass. The full pass runs
+  otherwise, and on small pools it always does. SSE values from a bounded
+  pass may differ from the full pass's in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +96,16 @@ def _kmeanspp(x: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -
 
 
 _ASSIGN_BLOCK = 8192
+_GATHER_ROWS = 64
+# the numpy calls that score one cluster in a bounded pass take about as
+# long as 2**20 multiply-adds of a large BLAS product (tens of microseconds)
+_CLUSTER_STEP_MADDS = 1 << 20
+
+
+def _assign_block(x, x2, centers, c2, start, stop):
+    d2 = x2[start:stop, None] - 2.0 * (x[start:stop] @ centers.T) + c2[None, :]
+    lab = np.argmin(d2, axis=1)
+    return lab, d2[np.arange(stop - start), lab]
 
 
 def _assign_points(x: np.ndarray, x2: np.ndarray, centers: np.ndarray):
@@ -68,22 +116,108 @@ def _assign_points(x: np.ndarray, x2: np.ndarray, centers: np.ndarray):
     best = np.empty(n)
     for start in range(0, n, _ASSIGN_BLOCK):
         stop = min(start + _ASSIGN_BLOCK, n)
-        d2 = x2[start:stop, None] - 2.0 * (x[start:stop] @ centers.T) + c2[None, :]
-        lab = np.argmin(d2, axis=1)
-        labels[start:stop] = lab
-        best[start:stop] = d2[np.arange(stop - start), lab]
+        labels[start:stop], best[start:stop] = _assign_block(x, x2, centers, c2, start, stop)
     return labels, np.maximum(best, 0.0)
 
 
-def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int):
+class _Groups(NamedTuple):
+    """Points grouped by label: the stable sort order, the labels present,
+    where each one's run starts and its length, and the rows in that order
+    as a column-major (D, n) buffer."""
+
+    labels: np.ndarray
+    order: np.ndarray
+    uniq: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    cols: np.ndarray
+
+
+def _group(x: np.ndarray, labels: np.ndarray) -> _Groups:
+    n, dim = x.shape
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    uniq, starts = np.unique(sorted_labels, return_index=True)
-    sums = np.zeros((k, x.shape[1]))
-    sums[uniq] = np.add.reduceat(x[order], starts, axis=0)
+    uniq, starts = np.unique(labels[order], return_index=True)
+    cols = np.empty((dim, n))
+    for s in range(0, n, _GATHER_ROWS):
+        cols[:, s:s + _GATHER_ROWS] = x[order[s:s + _GATHER_ROWS]].T
+    return _Groups(labels, order, uniq, starts, np.diff(np.append(starts, n)), cols)
+
+
+def _cluster_sums(groups: _Groups, k: int):
+    """Per-cluster row sums and member counts. Each segment is summed along
+    contiguous memory, which keeps the bits of
+    `np.add.reduceat(x[order], starts, axis=0)` at half its traffic."""
+    sums = np.zeros((k, groups.cols.shape[0]))
+    sums[groups.uniq] = np.add.reduceat(groups.cols, groups.starts, axis=1).T
     counts = np.zeros(k, dtype=np.intp)
-    counts[uniq] = np.diff(np.append(starts, labels.size))
+    counts[groups.uniq] = groups.sizes
     return sums, counts
+
+
+def _bounded_pays(n, dim, k, clusters, pairs):
+    """Whether scoring `pairs` (point, center) pairs in one product per
+    cluster costs less than the full pass's n*k pairs."""
+    return dim * pairs + _CLUSTER_STEP_MADDS * clusters < dim * n * k
+
+
+def _assign_bounded(x: np.ndarray, x2: np.ndarray, centers: np.ndarray,
+                    groups: _Groups):
+    """`_assign_points`' labels, each cluster of the previous partition
+    scored against only the centers the triangle bound leaves it (see the
+    module docstring). None when the bound would not save work."""
+    n, dim = x.shape
+    k = centers.shape[0]
+    uniq, starts, sizes = groups.uniq, groups.starts, groups.sizes
+    if not _bounded_pays(n, dim, k, uniq.size, n):  # not even with one center each
+        return None
+    c2 = (centers * centers).sum(axis=1)
+    prev = groups.labels
+    own = np.empty(n)
+    for start in range(0, n, _ASSIGN_BLOCK):
+        stop = min(start + _ASSIGN_BLOCK, n)
+        mine = prev[start:stop]
+        own[start:stop] = (x2[start:stop] - 2.0 * np.einsum("ij,ij->i", x[start:stop],
+                                                           centers[mine]) + c2[mine])
+    slack = (16.0 * (dim + 8) * np.finfo(np.float64).eps * max(x2.max(), c2.max())
+             + dim * np.finfo(np.float64).tiny)
+    radius = np.sqrt(np.maximum.reduceat(np.maximum(own[groups.order], 0.0), starts) + slack)
+    reach = (radius + np.sqrt(radius * radius + 2.0 * slack)) ** 2 * (1.0 + 2.0 ** -20)
+    cc2 = c2[uniq, None] - 2.0 * (centers[uniq] @ centers.T) + c2[None, :]
+    cand = cc2 - slack <= reach[:, None]
+    if not _bounded_pays(n, dim, k, uniq.size, int(sizes @ cand.sum(axis=1))):
+        return None
+    labels = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    near = []
+    x2_sorted = x2[groups.order]
+    for a, start, size, row in zip(uniq, starts, sizes, cand):
+        idx = groups.order[start:start + size]
+        keep = np.flatnonzero(row)
+        if keep.size == 1:
+            labels[idx], best[idx] = a, own[idx]
+            continue
+        # (candidates, members): the cluster's rows are a slice of the
+        # column buffer, and this product shape runs fastest on it
+        d2 = (x2_sorted[None, start:start + size]
+              - 2.0 * (centers[keep] @ groups.cols[:, start:start + size]) + c2[keep, None])
+        two = np.partition(d2, 1, axis=0)
+        labels[idx], best[idx] = keep[np.argmin(d2, axis=0)], two[0]
+        near.append(idx[two[1] - two[0] <= 4.0 * slack])
+    near = np.concatenate(near) if near else np.empty(0, dtype=np.intp)
+    for start in np.unique(near // _ASSIGN_BLOCK) * _ASSIGN_BLOCK:
+        stop = min(start + _ASSIGN_BLOCK, n)
+        lab, d2 = _assign_block(x, x2, centers, c2, start, stop)
+        rows = near[(near >= start) & (near < stop)]
+        labels[rows], best[rows] = lab[rows - start], d2[rows - start]
+    return labels, np.maximum(best, 0.0)
+
+
+def _assign(x, x2, centers, groups: _Groups | None):
+    if groups is not None:
+        bounded = _assign_bounded(x, x2, centers, groups)
+        if bounded is not None:
+            return bounded
+    return _assign_points(x, x2, centers)
 
 
 def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
@@ -92,6 +226,15 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
 
     Returns (cluster index per point, per-iteration SSE trace). An empty
     cluster is re-seeded to the point farthest from its old centroid.
+
+    Every iteration's labels are those of a full pass over every center,
+    exact ties included. From the second assignment on, each cluster of the
+    previous partition is scored only against the centers that the
+    triangle bound, widened by a rounding slack e, cannot rule out. A point
+    whose two best candidates lie within 4e of each other is re-scored by
+    the full pass over its block. The full pass runs whenever the bound
+    would not save work. SSE values may differ from the full pass's in the
+    last bits. The module docstring gives the bound, e and the fallback.
     """
     n = x.shape[0]
     if not 1 <= k <= n:
@@ -102,21 +245,24 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
     x2 = (x * x).sum(axis=1)
     centers = _kmeanspp(x, x2, k, rng)
     labels = np.full(n, -1, dtype=np.intp)
+    groups = None
     trace: list[float] = []
     for _ in range(max_iters):
-        new_labels, best = _assign_points(x, x2, centers)
+        new_labels, best = _assign(x, x2, centers, groups)
         trace.append(float(best.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        sums, counts = _cluster_sums(x, labels, k)
+        groups = None  # free the old row buffer before gathering the new one
+        groups = _group(x, labels)
+        sums, counts = _cluster_sums(groups, k)
         occupied = counts > 0
         centers[occupied] = sums[occupied] / counts[occupied, None]
         for j in np.nonzero(~occupied)[0]:
             farthest = int(np.argmax(_sq_dists_to(x, x2, centers[j])))
             centers[j] = x[farthest]
     else:
-        labels, _ = _assign_points(x, x2, centers)
+        labels, _ = _assign(x, x2, centers, groups)
     # the iteration budget can end right after a reseed; steal the farthest
     # point from any multi-member cluster so the partition stays total
     counts = np.bincount(labels, minlength=k)

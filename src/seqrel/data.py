@@ -55,12 +55,6 @@ class SequenceDataset:
         return iter(self.records)
 
     @property
-    def num_events(self) -> int:
-        if not self.records:
-            raise EmptyInputError("dataset has no records")
-        return len(self.records[0].events)
-
-    @property
     def task(self) -> str:
         labels = [r.label for r in self.records if r.label is not None]
         if not labels:

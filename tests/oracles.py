@@ -6,7 +6,9 @@ The exceptions build on the package on purpose: `taped_lstm_oracle`
 composes the tape's elementary primitives, so its gradients check the
 hand-written backward of `tensor.lstm_scan`, and `full_attach_view_oracle`
 and `per_epoch_training_oracle` are the earlier, unhoisted forms of code
-that now takes a shortcut.
+that now takes a shortcut, and `lloyd_oracle` and `cluster_sums_oracle`
+are `compress.kmeans_pool` and its cluster sums before the triangle bound:
+every assignment a full pass over every center.
 """
 
 import numpy as np
@@ -279,3 +281,86 @@ def per_epoch_training_oracle(model, cg, *, lr=5e-3, epochs=50, val=None,
         model.weights = stopper.best
         history["best_epoch"] = stopper.best_epoch
     return history
+
+
+def _sq_dists_to(x, x2, center):
+    d2 = x2 - 2.0 * (x @ center) + float(center @ center)
+    return np.maximum(d2, 0.0)
+
+
+def _kmeanspp(x, x2, k, rng):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    d2 = _sq_dists_to(x, x2, centers[0])
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            pick = int(rng.choice(n, p=d2 / total))
+        else:
+            pick = int(rng.integers(n))
+        centers[j] = x[pick]
+        np.minimum(d2, _sq_dists_to(x, x2, centers[j]), out=d2)
+    return centers
+
+
+def _assign_points(x, x2, centers, block=8192):
+    n = x.shape[0]
+    c2 = (centers * centers).sum(axis=1)
+    labels = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = x2[start:stop, None] - 2.0 * (x[start:stop] @ centers.T) + c2[None, :]
+        lab = np.argmin(d2, axis=1)
+        labels[start:stop] = lab
+        best[start:stop] = d2[np.arange(stop - start), lab]
+    return labels, np.maximum(best, 0.0)
+
+
+def cluster_sums_oracle(x, labels, k):
+    """Row sums and counts per cluster, summed over the row-major gather."""
+    order = np.argsort(labels, kind="stable")
+    uniq, starts = np.unique(labels[order], return_index=True)
+    sums = np.zeros((k, x.shape[1]))
+    sums[uniq] = np.add.reduceat(x[order], starts, axis=0)
+    counts = np.zeros(k, dtype=np.intp)
+    counts[uniq] = np.diff(np.append(starts, labels.size))
+    return sums, counts
+
+
+def lloyd_oracle(x, k, rng, max_iters=100):
+    """`compress.kmeans_pool` with a full assignment pass every iteration.
+    Returns (labels, SSE trace, the labels each center update used)."""
+    n = x.shape[0]
+    if k == n:
+        return np.arange(n, dtype=np.intp), [0.0], []
+    x = np.asarray(x, dtype=np.float64)
+    x2 = (x * x).sum(axis=1)
+    centers = _kmeanspp(x, x2, k, rng)
+    labels = np.full(n, -1, dtype=np.intp)
+    trace, steps = [], []
+    for _ in range(max_iters):
+        new_labels, best = _assign_points(x, x2, centers)
+        trace.append(float(best.sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        steps.append(labels.copy())
+        sums, counts = cluster_sums_oracle(x, labels, k)
+        occupied = counts > 0
+        centers[occupied] = sums[occupied] / counts[occupied, None]
+        for j in np.nonzero(~occupied)[0]:
+            farthest = int(np.argmax(_sq_dists_to(x, x2, centers[j])))
+            centers[j] = x[farthest]
+    else:
+        labels, _ = _assign_points(x, x2, centers)
+    counts = np.bincount(labels, minlength=k)
+    for j in np.nonzero(counts == 0)[0]:
+        d2 = _sq_dists_to(x, x2, centers[j])
+        movable = counts[labels] > 1
+        pick = int(np.argmax(np.where(movable, d2, -np.inf)))
+        counts[labels[pick]] -= 1
+        labels[pick] = j
+        counts[j] += 1
+    return labels, trace, steps

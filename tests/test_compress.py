@@ -1,9 +1,14 @@
+import contextlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import compress_oracle, epsilon_graph_oracle
+from oracles import (cluster_sums_oracle, compress_oracle, epsilon_graph_oracle,
+                     lloyd_oracle)
 from seqrel import compress as C
 from seqrel.exceptions import InfeasibleBalanceError, ParameterError
 
@@ -70,6 +75,124 @@ def test_kmeans_recovers_separated_blobs():
     labels, _ = C.kmeans_pool(x, 3, np.random.default_rng(7))
     for start in (0, 30, 60):
         assert len(set(labels[start:start + 30].tolist())) == 1
+
+
+def assert_same_lloyd_run(x, k, seed, max_iters, always_bounded=True):
+    """kmeans_pool against the full-pass oracle, down to the labels each
+    center update used."""
+    steps = []
+    group = C._group
+
+    def spy(x_, labels):
+        steps.append(labels.copy())
+        return group(x_, labels)
+
+    forced = (mock.patch.object(C, "_bounded_pays", lambda *a: True) if always_bounded
+              else contextlib.nullcontext())
+    with mock.patch.object(C, "_group", spy), forced:
+        labels, trace = C.kmeans_pool(x, k, np.random.default_rng(seed), max_iters)
+    want_labels, want_trace, want_steps = lloyd_oracle(
+        x, k, np.random.default_rng(seed), max_iters)
+    assert len(trace) == len(want_trace)
+    assert len(steps) == len(want_steps)
+    for got, want in zip(steps, want_steps):
+        assert np.array_equal(got, want)
+    assert np.array_equal(labels, want_labels)
+    # each SSE term of a bounded pass may come from another product than the
+    # full pass's; both lie within the slack e = 16 (D + 8) eps M^2 of exact
+    slack = 16 * (x.shape[1] + 8) * np.finfo(np.float64).eps * (x * x).sum(axis=1).max()
+    np.testing.assert_allclose(trace, want_trace, rtol=0, atol=2 * len(x) * slack)
+
+
+# coordinates from a few non-dyadic values, so that points repeat, centers
+# coincide after reseeds and many points are equidistant from others
+PALETTE = np.array([-0.7, -0.3, -0.1, 0.0, 0.1, 0.2, 0.3, 1.1])
+
+
+@st.composite
+def tied_pools(draw):
+    n = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["palette", "mirror", "repeats"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "palette":
+        x = rng.choice(PALETTE, size=(n, dim))
+    elif kind == "mirror":
+        # signed coordinate permutations of a few offsets around one point
+        # lie at equal distances from it; the point itself is repeated
+        base = rng.choice(PALETTE, size=dim)
+        offsets = rng.choice(PALETTE, size=(draw(st.integers(1, 3)), dim))
+        rows = [base]
+        for _ in range(n - 1):
+            v = offsets[rng.integers(len(offsets))]
+            rows.append(base if rng.random() < 0.2
+                        else base + rng.choice([-1.0, 1.0], dim) * v[rng.permutation(dim)])
+        x = np.array(rows)
+    else:
+        distinct = rng.normal(size=(draw(st.integers(1, n)), dim))
+        x = distinct[rng.integers(len(distinct), size=n)]
+    return scale * x, k, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_pools())
+def test_kmeans_pool_matches_full_pass_oracle_with_ties(pool):
+    x, k, seed, max_iters = pool
+    assert_same_lloyd_run(x, k, seed, max_iters)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 60), st.data())
+def test_bounded_pass_matches_full_pass_on_equidistant_centers(dim, n, data):
+    """Centers come in mirror pairs, b + v and b + P v for a signed
+    permutation P, around points b of the pool, which are then exactly
+    equidistant from both; their computed distances differ by rounding."""
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
+    centers = np.empty((k, dim))
+    for j in range(0, k, 2):
+        base, v = x[rng.integers(n)], rng.normal(size=dim) * np.abs(x).max()
+        centers[j] = base + v
+        if j + 1 < k:
+            centers[j + 1] = base + rng.choice([-1.0, 1.0], dim) * v[rng.permutation(dim)]
+    x2 = (x * x).sum(axis=1)
+    want, _ = C._assign_points(x, x2, centers)
+    with mock.patch.object(C, "_bounded_pays", lambda *a: True):
+        got, _ = C._assign_bounded(x, x2, centers, C._group(x, rng.integers(0, k, n)))
+    assert np.array_equal(got, want)
+
+
+def test_kmeans_pool_takes_bounded_pass_and_matches_oracle():
+    rng = np.random.default_rng(12)
+    centers = 4.0 * rng.normal(size=(10, 256))
+    x = centers[rng.integers(10, size=6000)] + rng.normal(size=(6000, 256))
+    taken = []
+    bounded = C._assign_bounded
+
+    def spy(*args):
+        out = bounded(*args)
+        taken.append(out is not None)
+        return out
+
+    # the real cost rule, on a pool large enough for the bound to pay
+    with mock.patch.object(C, "_assign_bounded", spy):
+        assert_same_lloyd_run(x, 10, 13, 100, always_bounded=False)
+    assert any(taken)
+
+
+def test_cluster_sums_keep_row_major_bits():
+    rng = np.random.default_rng(14)
+    for length in range(1, 301):
+        labels = np.repeat([3, 0, 1], length)
+        rng.shuffle(labels)
+        x = rng.choice([-1.0, 1.0], (labels.size, 7)) * 10.0 ** rng.uniform(-3, 3, (labels.size, 7))
+        sums, counts = C._cluster_sums(C._group(x, labels), 5)
+        want_sums, want_counts = cluster_sums_oracle(x, labels, 5)
+        assert np.array_equal(sums, want_sums), length
+        assert np.array_equal(counts, want_counts), length
 
 
 def test_balanced_kmeans_respects_class_boundaries():

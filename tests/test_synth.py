@@ -143,7 +143,7 @@ def test_write_demand_csv(tmp_path):
     info = S.write_demand_csv(p, n_rows=30, hours=6, n_archetypes=3, seed=1)
     ds = D.read_demand_csv(p)
     assert len(ds.records) == 30
-    assert ds.num_events == 6
+    assert {len(r.events) for r in ds.records} == {6}
     assert all(r.label >= 0.0 for r in ds.records)
     assert len(info["archetype_of"]) == 30
     # same seed, same bytes
