@@ -8,6 +8,7 @@ failure is a single machine-parsable JSON object.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -25,31 +26,17 @@ from .exceptions import ConfigError, SeqrelError
 from .ioutil import canonical_json, write_text_atomic
 
 
-def _fail(exc: SeqrelError) -> None:
-    payload = {"error": type(exc).__name__, "exit_code": exc.exit_code,
-               "message": str(exc)}
-    click.echo(canonical_json(payload).rstrip("\n"), err=True)
-    sys.exit(exc.exit_code)
-
-
-def guarded(fn):
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SeqrelError as exc:
-            _fail(exc)
-
-    return wrapper
-
-
 out_dir_option = click.option("--out-dir", default="out", type=click.Path(),
                               show_default=True)
 
 
 def config_options(fn):
+    """Adds the config options and passes the command the resolved `cfg`."""
+
+    @functools.wraps(fn)
+    def with_cfg(profile, config_path, overrides, seed, **kw):
+        return fn(cfg=build_config(profile, config_path, overrides, seed), **kw)
+
     options = [
         click.option("--profile", default="fraud",
                      type=click.Choice(sorted(PROFILES)),
@@ -62,26 +49,37 @@ def config_options(fn):
         out_dir_option,
     ]
     for option in reversed(options):
-        fn = option(fn)
-    return fn
+        with_cfg = option(with_cfg)
+    return with_cfg
 
 
 def build_config(profile, config_path, overrides, seed):
-    cfg = profile_config(profile)
-    merged = {}
-    if config_path is not None:
-        merged.update(load_config_file(config_path))
+    merged = {} if config_path is None else load_config_file(config_path)
     for item in overrides:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
         merged[key.strip()] = value.strip()
     if seed is not None:
         merged["seed"] = seed
-    return apply_overrides(cfg, merged)
+    return apply_overrides(profile_config(profile), merged)
 
 
-@click.group()
+class SeqrelGroup(click.Group):
+    """The one error boundary: a SeqrelError from any command ends the run
+    with a JSON line on stderr and the error's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SeqrelError as exc:
+            click.echo(canonical_json({
+                "error": type(exc).__name__, "exit_code": exc.exit_code,
+                "message": str(exc)}).rstrip("\n"), err=True)
+            sys.exit(exc.exit_code)
+
+
+@click.group(cls=SeqrelGroup)
 def main():
     """Relation-aware sequence modeling over compressed graphs."""
 
@@ -99,7 +97,6 @@ def main():
               type=click.Choice(["classification", "regression"]))
 @click.option("--seed", type=int, default=0, show_default=True)
 @out_dir_option
-@guarded
 def gen_synth(**kw):
     """Generate a labeled synthetic corpus with planted group structure."""
     out_dir = Path(kw.pop("out_dir"))
@@ -123,16 +120,13 @@ def gen_synth(**kw):
 @click.option("--train", "train_path", required=True, type=click.Path())
 @click.option("--val", "val_path", required=True, type=click.Path())
 @config_options
-@guarded
-def train_encoder(train_path, val_path, profile, config_path, overrides, seed,
-                  out_dir):
+def train_encoder(train_path, val_path, cfg, out_dir):
     """Train the sequence encoder on labeled training sequences."""
-    cfg = build_config(profile, config_path, overrides, seed)
     result = P.run_train_encoder(cfg, train_path, val_path, out_dir)
-    history = result["history"]
-    click.echo(f"encoder saved to {result['encoder_path']} "
-               f"(best epoch {history['best_epoch']}, "
-               f"val loss {history['val_loss'][history['best_epoch']]:.6f})")
+    losses, best = result["history"]["val_loss"], result["history"]["best_epoch"]
+    note = (f"best epoch {best}, val loss {losses[best]:.6f}" if losses
+            else "no epochs run")
+    click.echo(f"encoder saved to {result['encoder_path']} ({note})")
 
 
 @main.command("embed")
@@ -140,11 +134,8 @@ def train_encoder(train_path, val_path, profile, config_path, overrides, seed,
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--out-name", default=P.EMBEDDINGS_FILE, show_default=True)
 @config_options
-@guarded
-def embed(encoder_path, data_path, out_name, profile, config_path, overrides,
-          seed, out_dir):
+def embed(encoder_path, data_path, out_name, cfg, out_dir):
     """Embed sequences with a trained encoder into a CSV of feature rows."""
-    cfg = build_config(profile, config_path, overrides, seed)
     encoder_path = encoder_path or Path(out_dir) / P.ENCODER_FILE
     result = P.run_embed(cfg, encoder_path, data_path, out_dir, out_name)
     click.echo(f"wrote {result['embeddings_path']} ({result['count']} rows)")
@@ -154,10 +145,8 @@ def embed(encoder_path, data_path, out_name, profile, config_path, overrides,
 @click.option("--embeddings", "embeddings_path", default=None,
               type=click.Path())
 @config_options
-@guarded
-def compress(embeddings_path, profile, config_path, overrides, seed, out_dir):
+def compress(embeddings_path, cfg, out_dir):
     """Compress embeddings into class-balanced cluster prototypes."""
-    cfg = build_config(profile, config_path, overrides, seed)
     embeddings_path = embeddings_path or Path(out_dir) / P.EMBEDDINGS_FILE
     result = P.run_compress(cfg, embeddings_path, out_dir)
     click.echo(f"wrote {result['compressed_path']} (k={result['k']}, "
@@ -170,17 +159,12 @@ def compress(embeddings_path, profile, config_path, overrides, seed, out_dir):
 @click.option("--val-embeddings", "val_embeddings_path", default=None,
               type=click.Path())
 @config_options
-@guarded
-def train_gnn(compressed_path, val_embeddings_path, profile, config_path,
-              overrides, seed, out_dir):
+def train_gnn(compressed_path, val_embeddings_path, cfg, out_dir):
     """Train the relation model on the compressed graph."""
-    cfg = build_config(profile, config_path, overrides, seed)
     compressed_path = compressed_path or Path(out_dir) / P.COMPRESSED_FILE
     result = P.run_train_gnn(cfg, compressed_path, out_dir,
                              val_embeddings_path)
-    history = result["history"]
-    click.echo(f"wrote {result['gnn_path']} ({history['loss_kind']} loss "
-               f"{history['loss'][-1]:.6f} after {len(history['loss'])} epochs)")
+    click.echo(f"wrote {result['gnn_path']} ({_loss_note(result['history'])})")
 
 
 @main.command("finetune")
@@ -193,12 +177,10 @@ def train_gnn(compressed_path, val_embeddings_path, profile, config_path,
 @click.option("--no-encoder", is_flag=True,
               help="build an embeddings-only bundle")
 @config_options
-@guarded
 def finetune(compressed_path, gnn_path, embeddings_path, encoder_path,
-             no_encoder, profile, config_path, overrides, seed, out_dir):
+             no_encoder, cfg, out_dir):
     """Fine-tune the relation model on real-to-compressed views and emit the
     deployable bundle."""
-    cfg = build_config(profile, config_path, overrides, seed)
     out = Path(out_dir)
     compressed_path = compressed_path or out / P.COMPRESSED_FILE
     gnn_path = gnn_path or out / P.GNN_FILE
@@ -210,9 +192,14 @@ def finetune(compressed_path, gnn_path, embeddings_path, encoder_path,
         encoder_path = out / P.ENCODER_FILE
     result = P.run_finetune(cfg, compressed_path, gnn_path, embeddings_path,
                             out_dir, encoder_path=encoder_path)
-    history = result["history"]
     click.echo(f"wrote {result['finetuned_path']} and {result['bundle_path']} "
-               f"({history['loss_kind']} loss {history['loss'][-1]:.6f})")
+               f"({_loss_note(result['history'])})")
+
+
+def _loss_note(history: dict) -> str:
+    losses = history["loss"]
+    return (f"{history['loss_kind']} loss {losses[-1]:.6f} after "
+            f"{len(losses)} epochs" if losses else "no epochs run")
 
 
 def _load_inputs(input_path, as_embeddings):
@@ -236,19 +223,15 @@ def _load_inputs(input_path, as_embeddings):
               help="input is an embeddings CSV, skip the encoder")
 @click.option("--output", "output_path", default=None, type=click.Path())
 @out_dir_option
-@guarded
 def infer(bundle_path, input_path, as_embeddings, output_path, out_dir):
     """Score new sequences against a deployed bundle (JSONL out)."""
     bundle_path = bundle_path or Path(out_dir) / P.BUNDLE_FILE
     bundle = I.load_bundle(P.require_file(bundle_path, "finetune"))
     ids, inputs = _load_inputs(input_path, as_embeddings)
     results, agg = I.score_batch(bundle, inputs)
-    lines = []
-    for rid, res in zip(ids, results):
-        lines.append(canonical_json({
-            "id": rid, "score": res.score,
-            "latency_s": res.latency_s}).rstrip("\n"))
-    text = "\n".join(lines) + "\n"
+    text = "".join(canonical_json({"id": rid, "score": res.score,
+                                   "latency_s": res.latency_s})
+                   for rid, res in zip(ids, results))
     if output_path is None:
         click.echo(text, nl=False)
     else:
@@ -264,7 +247,6 @@ def infer(bundle_path, input_path, as_embeddings, output_path, out_dir):
 @click.option("--embeddings", "as_embeddings", is_flag=True)
 @click.option("--top-r", type=int, default=5, show_default=True)
 @out_dir_option
-@guarded
 def explain(bundle_path, input_path, as_embeddings, top_r, out_dir):
     """Rank representative training sequences most similar to each input."""
     bundle_path = bundle_path or Path(out_dir) / P.BUNDLE_FILE
@@ -282,11 +264,8 @@ def explain(bundle_path, input_path, as_embeddings, top_r, out_dir):
 @click.option("--test", "test_path", required=True, type=click.Path())
 @click.option("--embeddings", "as_embeddings", is_flag=True)
 @config_options
-@guarded
-def eval_cmd(bundle_path, test_path, as_embeddings, profile, config_path,
-             overrides, seed, out_dir):
+def eval_cmd(bundle_path, test_path, as_embeddings, cfg, out_dir):
     """Score a labeled test set and report task metrics."""
-    cfg = build_config(profile, config_path, overrides, seed)
     bundle_path = bundle_path or Path(out_dir) / P.BUNDLE_FILE
     result = P.run_eval(cfg, bundle_path, test_path, out_dir,
                         embeddings=as_embeddings)
@@ -305,12 +284,9 @@ def _metric_table(metrics: dict) -> str:
 @click.option("--val", "val_path", required=True, type=click.Path())
 @click.option("--test", "test_path", required=True, type=click.Path())
 @config_options
-@guarded
-def run_all(train_path, val_path, test_path, profile, config_path, overrides,
-            seed, out_dir):
+def run_all(train_path, val_path, test_path, cfg, out_dir):
     """Full pipeline: encoder, embeddings, compression, relation model,
     fine-tuning, bundle, and evaluation."""
-    cfg = build_config(profile, config_path, overrides, seed)
     summary = P.run_all(cfg, train_path, val_path, test_path, out_dir)
     click.echo(_metric_table(summary["eval"]["metrics"]))
     click.echo(f"bundle at {summary['bundle_path']}")

@@ -35,6 +35,15 @@ class Record:
     label: int | float | None = None
 
 
+def label_task(labels) -> str:
+    """Classification when every label is an int, regression when every
+    label is a float; labels of mixed kinds are rejected."""
+    kinds = {type(v) for v in labels}
+    if kinds - {int} and kinds - {float}:
+        raise TaskMismatchError(f"labels mix kinds: {sorted(k.__name__ for k in kinds)}")
+    return CLASSIFICATION if kinds == {int} else REGRESSION
+
+
 @dataclass
 class SequenceDataset:
     """Records with labels of a single kind. Event counts may differ:
@@ -44,9 +53,7 @@ class SequenceDataset:
     records: list[Record]
 
     def __post_init__(self):
-        kinds = {type(r.label).__name__ for r in self.records if r.label is not None}
-        if kinds - {"int"} and kinds - {"float"}:
-            raise TaskMismatchError(f"labels mix kinds: {sorted(kinds)}")
+        label_task(r.label for r in self.records if r.label is not None)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -59,7 +66,7 @@ class SequenceDataset:
         labels = [r.label for r in self.records if r.label is not None]
         if not labels:
             raise EmptyInputError("dataset has no labels")
-        return CLASSIFICATION if isinstance(labels[0], int) else REGRESSION
+        return label_task(labels)
 
     @property
     def ids(self) -> list[str]:

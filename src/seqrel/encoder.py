@@ -99,8 +99,7 @@ def _mean_loss(params, encoded, targets, task, batch_size) -> float:
 def train_encoder(train: SequenceDataset, val: SequenceDataset, *,
                   hidden_dim: int, rng: np.random.Generator,
                   lr: float = 1e-5, batch_size: int = 64,
-                  max_epochs: int = 50, patience: int = 10,
-                  schema: FieldSchema | None = None) -> tuple[EncoderModel, dict]:
+                  max_epochs: int = 50, patience: int = 10) -> tuple[EncoderModel, dict]:
     """Mini-batch Adam with early stopping on validation loss.
 
     Stops once the epochs since the best validation loss exceed
@@ -110,8 +109,7 @@ def train_encoder(train: SequenceDataset, val: SequenceDataset, *,
     if train.task != val.task:
         raise TaskMismatchError(f"train task {train.task} != val task {val.task}")
     task = train.task
-    if schema is None:
-        schema = fit_field_schema(train)
+    schema = fit_field_schema(train)
     num_classes = 1
     if task == CLASSIFICATION:
         labels = [int(r.label) for r in train.records] + [int(r.label) for r in val.records]

@@ -314,14 +314,16 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     against their labels. Compressed features are inputs only and are
     never updated.
     """
+    h_real = np.asarray(h_real, dtype=np.float64)
+    n = h_real.shape[0]
     if cg.k < 1:
         raise EmptyInputError("cannot fine-tune against an empty compressed graph")
+    if n == 0:
+        raise EmptyInputError("cannot fine-tune on zero real rows")
     if model.in_dim != cg.dim:
         raise DimensionError(f"model input {model.in_dim} != compressed width {cg.dim}")
     metric = cg.metric if metric is None else metric
     epsilon = cg.epsilon if epsilon is None else epsilon
-    h_real = np.asarray(h_real, dtype=np.float64)
-    n = h_real.shape[0]
     targets, loss_kind = label_targets(y_real, model.task, cg.labels.shape[1])
     params = _params_of(model)
     opt = T.Adam(list(params.values()), lr=lr)

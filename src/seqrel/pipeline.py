@@ -62,7 +62,6 @@ def require_file(path, producer: "str | None" = None) -> Path:
 def write_manifest(out_dir, command: str, cfg, timings: dict,
                    inputs, outputs) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     flat = cfg if isinstance(cfg, dict) else cfg.to_flat_dict()
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -78,10 +77,18 @@ def write_manifest(out_dir, command: str, cfg, timings: dict,
     return path
 
 
-def _load_labels(path, task: str):
+def check_task(cfg: PipelineConfig, found: str, source) -> None:
+    """The one stage-level task rule: a stage's input (an artifact's task, or
+    the kind of its labels) must record the configured task."""
+    if found != cfg.task:
+        raise TaskMismatchError(
+            f"config task {cfg.task!r} disagrees with {found!r} from {source}")
+
+
+def _load_labels(cfg: PipelineConfig, path):
     ids, x, labels = D.load_embeddings(path)
-    kind = np.int64 if task == D.CLASSIFICATION else np.float64
-    return ids, x, np.asarray(labels, dtype=kind)
+    check_task(cfg, D.label_task(labels), f"labels of {path}")
+    return ids, x, np.asarray(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +97,15 @@ def _load_labels(path, task: str):
 
 def run_train_encoder(cfg: PipelineConfig, train_path, val_path, out_dir) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train = D.read_sequences(require_file(train_path))
     val = D.read_sequences(require_file(val_path))
+    check_task(cfg, train.task, f"labels of {train_path}")
     start = time.perf_counter()
     model, history = E.train_encoder(
         train, val, hidden_dim=cfg.embed_dim, rng=stage_rng(cfg.seed, "encoder"),
         lr=cfg.encoder_lr, batch_size=cfg.batch_size,
         max_epochs=cfg.encoder_epochs, patience=cfg.patience)
     elapsed = time.perf_counter() - start
-    if model.task != cfg.task:
-        raise TaskMismatchError(
-            f"config task {cfg.task!r} but data looks like {model.task!r}")
     out = out_dir / ENCODER_FILE
     E.save_encoder(out, model)
     write_manifest(out_dir, "train-encoder", cfg, {"train_s": elapsed},
@@ -112,7 +116,6 @@ def run_train_encoder(cfg: PipelineConfig, train_path, val_path, out_dir) -> dic
 def run_embed(cfg: PipelineConfig, encoder_path, data_path, out_dir,
               out_name: str = EMBEDDINGS_FILE) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = E.load_encoder(require_file(encoder_path, "train-encoder"))
     ds = D.read_sequences(require_file(data_path))
     start = time.perf_counter()
@@ -127,8 +130,7 @@ def run_embed(cfg: PipelineConfig, encoder_path, data_path, out_dir,
 
 def run_compress(cfg: PipelineConfig, embeddings_path, out_dir) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids, x, labels = _load_labels(require_file(embeddings_path, "embed"), cfg.task)
+    ids, x, labels = _load_labels(cfg, require_file(embeddings_path, "embed"))
     start = time.perf_counter()
     cg, info = C.compress_graph(
         x, labels, ids, k=cfg.clusters, mode=cfg.mode, task=cfg.task,
@@ -146,21 +148,17 @@ def run_compress(cfg: PipelineConfig, embeddings_path, out_dir) -> dict:
 def run_train_gnn(cfg: PipelineConfig, compressed_path, out_dir,
                   val_embeddings_path=None) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cg = C.load_compressed(require_file(compressed_path, "compress"))
-    if cg.task != cfg.task:
-        raise TaskMismatchError(
-            f"config task {cfg.task!r} but compressed graph is {cg.task!r}")
+    check_task(cfg, cg.task, compressed_path)
     val = None
     inputs = [compressed_path]
     if val_embeddings_path is not None:
         _, x_val, y_val = _load_labels(
-            require_file(val_embeddings_path, "embed"), cfg.task)
+            cfg, require_file(val_embeddings_path, "embed"))
         val = (x_val, y_val)
         inputs.append(val_embeddings_path)
-    out_classes = cg.labels.shape[1] if cfg.task == D.CLASSIFICATION else 1
-    model = G.init_gnn(cfg.conv, cfg.task, cg.dim, cfg.gnn_hidden, out_classes,
-                       stage_rng(cfg.seed, "gnn"))
+    model = G.init_gnn(cfg.conv, cfg.task, cg.dim, cfg.gnn_hidden,
+                       cg.labels.shape[1], stage_rng(cfg.seed, "gnn"))
     start = time.perf_counter()
     history = G.train_on_compressed(model, cg, lr=cfg.gnn_lr,
                                     epochs=cfg.gnn_epochs, val=val,
@@ -177,10 +175,11 @@ def run_train_gnn(cfg: PipelineConfig, compressed_path, out_dir,
 def run_finetune(cfg: PipelineConfig, compressed_path, gnn_path,
                  embeddings_path, out_dir, encoder_path=None) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cg = C.load_compressed(require_file(compressed_path, "compress"))
+    check_task(cfg, cg.task, compressed_path)
     model = G.load_gnn(require_file(gnn_path, "train-gnn"))
-    _, x, y = _load_labels(require_file(embeddings_path, "embed"), cfg.task)
+    check_task(cfg, model.task, gnn_path)
+    _, x, y = _load_labels(cfg, require_file(embeddings_path, "embed"))
     encoder = None
     inputs = [compressed_path, gnn_path, embeddings_path]
     if encoder_path is not None:
@@ -215,17 +214,15 @@ def evaluate_scores(task: str, scores, labels) -> dict:
 def run_eval(cfg: PipelineConfig, bundle_path, test_path, out_dir,
              embeddings: bool = False) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = I.load_bundle(require_file(bundle_path, "finetune"))
+    check_task(cfg, bundle.task, bundle_path)
     if embeddings:
-        _, x, labels = _load_labels(require_file(test_path), cfg.task)
+        _, x, labels = _load_labels(cfg, require_file(test_path))
         records = list(x)
     else:
         ds = D.read_sequences(require_file(test_path))
-        labels = ds.labels_array()
-        if cfg.task == D.CLASSIFICATION:
-            labels = labels.astype(np.int64)
-        records = ds.records
+        check_task(cfg, ds.task, f"labels of {test_path}")
+        records, labels = ds.records, ds.labels_array()
     results, agg = I.score_batch(bundle, records)
     metrics = evaluate_scores(cfg.task, [r.score for r in results], labels)
     report = {

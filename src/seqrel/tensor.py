@@ -1,8 +1,8 @@
 """Dense 2-D float64 matrices with a reverse-mode gradient tape.
 
 The tape covers exactly the primitives the pipeline composes: matmul,
-broadcast add/sub, hadamard/column products, the usual nonlinearities,
-row softmax, column concatenation, row gather, segment sums, the
+broadcast add/sub, hadamard/column products, relu, leaky relu, exp,
+row softmax, row gather, segment sums, the
 LSTM scan `lstm_scan` (one node for a whole batch of sequences), and the
 two losses, picked by name from `LOSSES`. Everything is float64; no NaN
 or Inf may escape a loss.
@@ -61,10 +61,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
 
 
 def constant(values) -> Tensor:
@@ -225,16 +221,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = logistic(a.data)
-    return _make(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, [(a, lambda g: g * (1.0 - out * out))])
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _make(out, [(a, lambda g: g * out)])
@@ -250,17 +236,6 @@ def row_softmax(a: Tensor) -> Tensor:
         return out * (g - inner)
 
     return _make(out, [(a, pull)])
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.rows != b.rows:
-        raise DimensionError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    split = a.cols
-    data = np.concatenate([a.data, b.data], axis=1)
-    return _make(data, [
-        (a, lambda g: g[:, :split]),
-        (b, lambda g: np.ascontiguousarray(g[:, split:])),
-    ])
 
 
 def lstm_scan(steps: np.ndarray, w_gates: Tensor, b_gates: Tensor) -> Tensor:

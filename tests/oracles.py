@@ -8,13 +8,15 @@ hand-written backward of `tensor.lstm_scan`, and `full_attach_view_oracle`
 and `per_epoch_training_oracle` are the earlier, unhoisted forms of code
 that now takes a shortcut, and `lloyd_oracle` and `cluster_sums_oracle`
 are `compress.kmeans_pool` and its cluster sums before the triangle bound:
-every assignment a full pass over every center.
+every assignment a full pass over every center. `parameter`, `sigmoid`,
+`tanh` and `concat_cols` are tape primitives that only the tests use.
 """
 
 import numpy as np
 
 from seqrel import gnn as G
 from seqrel import tensor as T
+from seqrel.exceptions import DimensionError
 
 
 def sim_oracle(x, y, metric):
@@ -177,6 +179,31 @@ def gnn_forward_oracle(kind, x, neighbor_lists, w, att=None, alpha=0.2):
     return out
 
 
+def parameter(values) -> T.Tensor:
+    return T.Tensor(values, requires_grad=True)
+
+
+def sigmoid(a: T.Tensor) -> T.Tensor:
+    out = T.logistic(a.data)
+    return T._make(out, [(a, lambda g: g * out * (1.0 - out))])
+
+
+def tanh(a: T.Tensor) -> T.Tensor:
+    out = np.tanh(a.data)
+    return T._make(out, [(a, lambda g: g * (1.0 - out * out))])
+
+
+def concat_cols(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    if a.rows != b.rows:
+        raise DimensionError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
+    split = a.cols
+    data = np.concatenate([a.data, b.data], axis=1)
+    return T._make(data, [
+        (a, lambda g: g[:, :split]),
+        (b, lambda g: np.ascontiguousarray(g[:, split:])),
+    ])
+
+
 def masked_sigmoid(x):
     """The logistic function in two branches, exp of a non-positive number
     in each, so nothing overflows."""
@@ -226,10 +253,10 @@ def taped_lstm_oracle(gates, steps):
     h = T.constant(np.zeros((batch, hidden)))
     c = T.constant(np.zeros((batch, hidden)))
     for t in range(steps.shape[1]):
-        z = T.concat_cols(T.constant(steps[:, t, :]), h)
+        z = concat_cols(T.constant(steps[:, t, :]), h)
         i, f, o, g = (T.add(T.matmul(z, gates[f"w_{k}"]), gates[f"b_{k}"]) for k in "ifog")
-        c = T.add(T.mul(T.sigmoid(f), c), T.mul(T.sigmoid(i), T.tanh(g)))
-        h = T.mul(T.sigmoid(o), T.tanh(c))
+        c = T.add(T.mul(sigmoid(f), c), T.mul(sigmoid(i), tanh(g)))
+        h = T.mul(sigmoid(o), tanh(c))
     return h
 
 

@@ -378,3 +378,95 @@ def test_train_encoder_rejects_mixed_event_counts_exit_3(tmp_path):
     tail = json.loads(result.output.strip().splitlines()[-1])
     assert tail["error"] == "SchemaViolationError"
     assert "mixed event counts" in tail["message"]
+
+
+@pytest.mark.parametrize("command,key,artifact", [
+    ("train-encoder", "encoder_epochs", P.ENCODER_FILE),
+    ("train-gnn", "gnn_epochs", P.GNN_FILE),
+    ("finetune", "finetune_epochs", P.BUNDLE_FILE),
+])
+def test_zero_epoch_stage_writes_its_artifact(workspace, tmp_path, command, key,
+                                              artifact):
+    data, out = workspace["data"], workspace["out"]
+    inputs = {
+        "train-encoder": ["--train", str(data / "train.jsonl"),
+                          "--val", str(data / "val.jsonl")],
+        "train-gnn": ["--compressed", str(out / P.COMPRESSED_FILE)],
+        "finetune": ["--compressed", str(out / P.COMPRESSED_FILE),
+                     "--gnn", str(out / P.GNN_FILE),
+                     "--embeddings", str(out / P.EMBEDDINGS_FILE), "--no-encoder"],
+    }[command]
+    result = workspace["runner"].invoke(main, [
+        command, *inputs, "--out-dir", str(tmp_path), *workspace["flags"],
+        "--set", f"{key}=0"])
+    assert result.exit_code == 0, result.output
+    assert "no epochs run" in result.output
+    assert (tmp_path / artifact).exists()
+
+
+def missing_input_args(command: str, tmp_path: Path) -> list[str]:
+    """Arguments that make `command` fail on a missing artifact (exit 3) or,
+    for gen-synth, on a corpus too small to split (exit 2)."""
+    missing = str(tmp_path / "absent")
+    return {
+        "compress": ["--embeddings", missing],
+        "embed": ["--encoder", missing, "--data", missing],
+        "eval": ["--bundle", missing, "--test", missing],
+        "explain": ["--bundle", missing, "--input", missing],
+        "finetune": [],
+        "gen-synth": ["--n-sequences", "1"],
+        "infer": ["--bundle", missing, "--input", missing],
+        "run-all": ["--train", missing, "--val", missing, "--test", missing],
+        "train-encoder": ["--train", missing, "--val", missing],
+        "train-gnn": [],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_reports_errors_as_one_json_line(command, tmp_path):
+    result = CliRunner().invoke(main, [
+        command, *missing_input_args(command, tmp_path),
+        "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == (2 if command == "gen-synth" else 3), result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    tail = json.loads(result.stderr.strip().splitlines()[-1])
+    assert tail["exit_code"] == result.exit_code
+    assert set(tail) == {"error", "exit_code", "message"}
+
+
+def relabel_embeddings(src: Path, dst: Path, label) -> Path:
+    """A copy of an embeddings CSV with row i's label replaced by label(i)."""
+    header, *rows = src.read_text().splitlines()
+    dst.write_text("\n".join([header] + [
+        row.rsplit(",", 1)[0] + f",{label(i)!r}" for i, row in enumerate(rows)]) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("profile,label", [
+    ("fraud", lambda i: float(i % 4)),
+    ("mobility", lambda i: i % 2),
+], ids=["float labels under classification", "int labels under regression"])
+def test_compress_rejects_labels_of_the_other_task_exit_3(workspace, tmp_path,
+                                                          profile, label):
+    csv = relabel_embeddings(workspace["out"] / P.EMBEDDINGS_FILE,
+                             tmp_path / "relabeled.csv", label)
+    result = workspace["runner"].invoke(main, [
+        "compress", "--embeddings", str(csv), "--profile", profile,
+        "--set", "clusters=6", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.stderr.strip().splitlines()[-1])
+    assert tail["error"] == "TaskMismatchError"
+    assert not (tmp_path / "out" / P.COMPRESSED_FILE).exists()
+
+
+def test_eval_rejects_a_bundle_of_the_other_task_exit_3(workspace, tmp_path):
+    result = workspace["runner"].invoke(main, [
+        "eval", "--bundle", str(workspace["out"] / P.BUNDLE_FILE),
+        "--test", str(workspace["data"] / "test.jsonl"),
+        "--profile", "mobility", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.stderr.strip().splitlines()[-1])
+    assert tail["error"] == "TaskMismatchError"
+    assert "classification" in tail["message"]
+    assert not (tmp_path / P.EVAL_FILE).exists()

@@ -325,6 +325,13 @@ def test_finetune_rejects_empty_compressed_graph():
                                empty, rng=np.random.default_rng(0))
 
 
+def test_finetune_rejects_zero_real_rows():
+    with pytest.raises(EmptyInputError, match="zero real rows"):
+        G.finetune_correlation(model_for("gcn"), np.zeros((0, 3)),
+                               np.zeros(0, dtype=np.int64), two_blob_cg(),
+                               rng=np.random.default_rng(0))
+
+
 def test_gnn_save_load_round_trip(tmp_path):
     m = model_for("gat", seed=28)
     path = tmp_path / "gnn.json"

@@ -108,15 +108,74 @@ def test_dependency_errors_name_producer(synth_files, tmp_path):
                    synth_files["test"], tmp_path)
 
 
+def mobility_cfg():
+    return CF.apply_overrides(
+        CF.profile_config("mobility"),
+        {"clusters": "6", "gnn_hidden": "6", "epsilon": "0.5"})
+
+
 def test_task_mismatch_detected(synth_files, tmp_path):
     out = tmp_path / "run"
     P.run_all(small_cfg(), synth_files["train"], synth_files["val"],
               synth_files["test"], out)
-    reg_cfg = CF.apply_overrides(
-        CF.profile_config("mobility"),
-        {"clusters": "6", "gnn_hidden": "6", "epsilon": "0.5"})
     with pytest.raises(TaskMismatchError):
-        P.run_train_gnn(reg_cfg, out / P.COMPRESSED_FILE, tmp_path / "other")
+        P.run_train_gnn(mobility_cfg(), out / P.COMPRESSED_FILE, tmp_path / "other")
+
+
+def test_train_encoder_checks_task_before_training(synth_files, tmp_path,
+                                                   monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("trained on data of the wrong task")
+
+    monkeypatch.setattr(P.E, "train_encoder", never)
+    with pytest.raises(TaskMismatchError, match="classification"):
+        P.run_train_encoder(mobility_cfg(), synth_files["train"],
+                            synth_files["val"], tmp_path)
+    assert not (tmp_path / P.ENCODER_FILE).exists()
+
+
+def test_stages_reject_artifacts_of_the_other_task(synth_files, tmp_path):
+    out = tmp_path / "run"
+    P.run_all(small_cfg(), synth_files["train"], synth_files["val"],
+              synth_files["test"], out)
+    other, reg_cfg = tmp_path / "other", mobility_cfg()
+    with pytest.raises(TaskMismatchError):
+        P.run_compress(reg_cfg, out / P.EMBEDDINGS_FILE, other)
+    with pytest.raises(TaskMismatchError):
+        P.run_finetune(reg_cfg, out / P.COMPRESSED_FILE, out / P.GNN_FILE,
+                       out / P.EMBEDDINGS_FILE, other)
+    with pytest.raises(TaskMismatchError):
+        P.run_eval(reg_cfg, out / P.BUNDLE_FILE, synth_files["test"], other)
+    reg_gnn = tmp_path / "reg_gnn.json"
+    reg_gnn.write_text((out / P.GNN_FILE).read_text().replace(
+        '"task":"classification"', '"task":"regression"'))
+    with pytest.raises(TaskMismatchError, match="reg_gnn"):
+        P.run_finetune(small_cfg(), out / P.COMPRESSED_FILE, reg_gnn,
+                       out / P.EMBEDDINGS_FILE, other)
+    assert not other.exists()
+
+
+def test_label_kind_is_checked_before_use(synth_files, tmp_path):
+    out = tmp_path / "run"
+    cfg = small_cfg()
+    P.run_all(cfg, synth_files["train"], synth_files["val"],
+              synth_files["test"], out)
+    ids, x, labels = D.load_embeddings(out / P.EMBEDDINGS_FILE)
+    floats = tmp_path / "float_labels.csv"
+    D.save_embeddings(floats, ids, x, [float(v) + 0.5 for v in labels])
+    with pytest.raises(TaskMismatchError):
+        P.run_train_gnn(cfg, out / P.COMPRESSED_FILE, tmp_path / "gnn", floats)
+    with pytest.raises(TaskMismatchError):
+        P.run_finetune(cfg, out / P.COMPRESSED_FILE, out / P.GNN_FILE, floats,
+                       tmp_path / "finetune")
+    test = D.read_sequences(synth_files["test"])
+    for r in test.records:
+        r.label = float(r.label)
+    float_test = tmp_path / "test_float_labels.jsonl"
+    D.write_sequences(float_test, test)
+    with pytest.raises(TaskMismatchError):
+        P.run_eval(cfg, out / P.BUNDLE_FILE, float_test, tmp_path / "eval")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_from_embeddings(synth_files, tmp_path):
