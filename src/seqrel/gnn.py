@@ -184,6 +184,32 @@ def propagate(view: GraphView, kind: str):
     return np.concatenate([x[view.targets], neigh], axis=1)
 
 
+def query_operator(kind: str, edges: np.ndarray, b: int, k: int):
+    """The linear convs' neighbor sum for b queries as one dense (b, K)
+    operator on the K prototype rows, plus each query's divisor.
+
+    gcn: op[q, j] = d_q^-½ per connect edge (q, j), with d_q = q's edges
+    + 1, applied to S = diag((deg + 1)^-½) X_comp; `propagate` is then
+    op @ S + X_q / d_q. sage_mean: the edge-count matrix and max(count_q,
+    1), by which op @ X_comp is divided."""
+    q = edges[:, 0]
+    counts = np.bincount(q, minlength=b).astype(np.float64)
+    d = counts + 1.0 if kind == "gcn" else np.maximum(counts, 1.0)
+    w = 1.0 / np.sqrt(d[q]) if kind == "gcn" else np.ones(q.size)
+    return np.bincount(q * k + edges[:, 1], weights=w, minlength=b * k).reshape(b, k), d
+
+
+def propagate_queries(kind: str, x_query: np.ndarray, edges: np.ndarray,
+                      comp_rows: np.ndarray) -> np.ndarray:
+    """`propagate(attach_view(cg, x_query, edges), kind)` for gcn and
+    sage_mean, through `query_operator` and no view. comp_rows is S (see
+    there) for gcn and X_comp for sage_mean."""
+    op, d = query_operator(kind, edges, x_query.shape[0], comp_rows.shape[0])
+    if kind == "gcn":
+        return op @ comp_rows + x_query * (1.0 / d)[:, None]
+    return np.concatenate([x_query, (op @ comp_rows) / d[:, None]], axis=1)
+
+
 def _attend(params: dict[str, T.Tensor], plan) -> T.Tensor:
     """gat's taped attention over a plan from `propagate`, before the ReLU."""
     x, src, dst, starts, targets = plan
@@ -312,7 +338,9 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     Real embeddings are batched; each batch connects to the compressed
     rows, prepared once, and the loss compares real-node predictions
     against their labels. Compressed features are inputs only and are
-    never updated.
+    never updated. gcn and sage_mean propagate each batch through one
+    dense operator on the prototype rows (`propagate_queries`); gat and
+    sage_max propagate a compact view of it.
     """
     h_real = np.asarray(h_real, dtype=np.float64)
     n = h_real.shape[0]
@@ -329,15 +357,20 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     opt = T.Adam(list(params.values()), lr=lr)
     history: dict = {"loss": [], "loss_kind": loss_kind}
     comp_deg, comp_prepped = cg.degrees(), prep_rows(cg.features, metric)
+    comp_rows = (cg.features / np.sqrt(comp_deg + 1.0)[:, None] if model.kind == "gcn"
+                 else cg.features)
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             take = order[start:start + batch_size]
-            _, edges = connect_prepped(h_real[take], comp_prepped, metric,
-                                       epsilon, fallback_m)
-            prop = propagate(attach_view(cg, h_real[take], edges, comp_degrees=comp_deg),
-                             model.kind)
+            x = h_real[take]
+            _, edges = connect_prepped(x, comp_prepped, metric, epsilon, fallback_m)
+            if model.kind in ("gcn", "sage_mean"):
+                prop = propagate_queries(model.kind, x, edges, comp_rows)
+            else:
+                prop = propagate(attach_view(cg, x, edges, comp_degrees=comp_deg),
+                                 model.kind)
             total += opt.minimize(
                 lambda: _loss(params, model, prop, targets[take], loss_kind)) * take.size
         history["loss"].append(total / n)

@@ -4,9 +4,10 @@ Everything here is deliberately written as plain per-pair / per-element
 loops with no shared code paths with the package. Slow and obvious wins.
 The exceptions build on the package on purpose: `taped_lstm_oracle`
 composes the tape's elementary primitives, so its gradients check the
-hand-written backward of `tensor.lstm_scan`, and `full_attach_view_oracle`
+hand-written backward of `tensor.lstm_scan`, `full_attach_view_oracle`
 and `per_epoch_training_oracle` are the earlier, unhoisted forms of code
-that now takes a shortcut, and `lloyd_oracle` and `cluster_sums_oracle`
+that now takes a shortcut, `finetune_oracle` is fine-tuning before gcn and
+sage_mean skipped the view, and `lloyd_oracle` and `cluster_sums_oracle`
 are `compress.kmeans_pool` and its cluster sums before the triangle bound:
 every assignment a full pass over every center. `parameter`, `sigmoid`,
 `tanh` and `concat_cols` are tape primitives that only the tests use.
@@ -17,6 +18,7 @@ import numpy as np
 from seqrel import gnn as G
 from seqrel import tensor as T
 from seqrel.exceptions import DimensionError
+from seqrel.graph import connect_prepped, prep_rows
 
 
 def sim_oracle(x, y, metric):
@@ -307,6 +309,39 @@ def per_epoch_training_oracle(model, cg, *, lr=5e-3, epochs=50, val=None,
     if stopper is not None:
         model.weights = stopper.best
         history["best_epoch"] = stopper.best_epoch
+    return history
+
+
+def finetune_oracle(model, h_real, y_real, cg, *, metric=None, epsilon=None,
+                    fallback_m=1, batch_size=64, epochs=1, lr=5e-3, rng):
+    """`gnn.finetune_correlation` with every conv kind propagating each
+    batch's compact view, as all four did before the linear convs took the
+    dense prototype operator."""
+    h_real = np.asarray(h_real, dtype=np.float64)
+    n = h_real.shape[0]
+    metric = cg.metric if metric is None else metric
+    epsilon = cg.epsilon if epsilon is None else epsilon
+    targets, loss_kind = G.label_targets(y_real, model.task, cg.labels.shape[1])
+    params = {k: T.Tensor(v) for k, v in model.weights.items()}
+    opt = T.Adam(list(params.values()), lr=lr)
+    history = {"loss": [], "loss_kind": loss_kind}
+    comp_deg, comp_prepped = cg.degrees(), prep_rows(cg.features, metric)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            take = order[start:start + batch_size]
+            _, edges = connect_prepped(h_real[take], comp_prepped, metric,
+                                       epsilon, fallback_m)
+            view = G.attach_view(cg, h_real[take], edges, comp_degrees=comp_deg)
+
+            def loss():
+                pred = G.predict_tensor(params, G.gnn_forward(params, model.kind, view),
+                                        model.task)
+                return T.LOSSES[loss_kind](pred, T.constant(targets[take]))
+
+            total += opt.minimize(loss) * take.size
+        history["loss"].append(total / n)
     return history
 
 

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqrel.tensor as T
-from oracles import full_attach_view_oracle, gnn_forward_oracle, per_epoch_training_oracle
+from oracles import (
+    finetune_oracle,
+    full_attach_view_oracle,
+    gnn_forward_oracle,
+    per_epoch_training_oracle,
+)
 from seqrel import gnn as G
 from seqrel.compress import CompressedGraph
 from seqrel.exceptions import DimensionError, EmptyInputError, TaskMismatchError
+from seqrel.graph import connect_prepped, prep_rows
+
+LINEAR_KINDS = ("gcn", "sage_mean")
 
 
 def make_cg(x, y, edges, task="classification", onehot=True, metric="cosine", eps=0.5):
@@ -382,3 +390,84 @@ def test_hoisted_training_matches_per_epoch_loop(kind, with_val):
     want = per_epoch_training_oracle(looped, cg, epochs=40, val=val, patience=3)
     assert got == want
     assert all(np.array_equal(hoisted.weights[k], looped.weights[k]) for k in looped.weights)
+
+
+def prototype_rows(cg, kind):
+    """What `propagate_queries` reads: S = diag((deg + 1)^-½) X_comp for
+    gcn, X_comp for sage_mean."""
+    if kind == "gcn":
+        return cg.features / np.sqrt(cg.degrees() + 1.0)[:, None]
+    return cg.features
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 10), d=st.integers(1, 5), b=st.integers(1, 6),
+       eps=st.sampled_from([-0.5, 0.0, 0.3, 0.8, 1.5]), fallback_m=st.integers(1, 3),
+       metric=st.sampled_from(["cosine", "pearson"]), seed=st.integers(0, 2**32 - 1))
+@example(k=1, d=2, b=1, eps=0.0, fallback_m=1, metric="cosine", seed=0)
+@example(k=1, d=3, b=4, eps=1.5, fallback_m=2, metric="pearson", seed=1)
+@example(k=8, d=4, b=1, eps=1.5, fallback_m=3, metric="cosine", seed=2)
+def test_query_operator_matches_view_propagation(k, d, b, eps, fallback_m, metric, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, d)) * rng.uniform(0.1, 5.0)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=k)],
+                 [p for p in pairs if rng.random() < 0.3], metric=metric, eps=eps)
+    queries = rng.normal(size=(b, d))
+    # eps 1.5 leaves every query on the top-m fallback
+    edges = connect_prepped(queries, prep_rows(x, metric), metric, eps, fallback_m)[1]
+    for kind in LINEAR_KINDS:
+        got = G.propagate_queries(kind, queries, edges, prototype_rows(cg, kind))
+        want = G.propagate(G.attach_view(cg, queries, edges), kind)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def finetune_case(kind, task="classification"):
+    """Ten batches of eight real rows against twelve prototypes, three of
+    them isolated, with threshold and fallback connections both taken."""
+    rng = np.random.default_rng(32)
+    x = np.concatenate([rng.normal(size=(6, 4)) + 2.0, rng.normal(size=(6, 4)) - 2.0])
+    y = np.eye(2)[[1] * 6 + [0] * 6]
+    cg = make_cg(x, y, [[0, 1], [1, 2], [3, 4], [6, 7], [7, 8], [8, 9]], eps=0.6)
+    h_real = np.concatenate([rng.normal(size=(30, 4)) + 2.0, rng.normal(size=(30, 4)) - 2.0,
+                             rng.normal(size=(20, 4))])
+    y_real = np.array([1] * 30 + [0] * 30 + [1, 0] * 10)
+    if task == "regression":
+        cg.task, cg.labels, cg.label_onehot = task, x[:, :1], False
+        y_real = h_real[:, 0] * 0.5
+    return cg, h_real, y_real, model_for(kind, in_dim=4, out=cg.labels.shape[1],
+                                         task=task, seed=33)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("kind", G.CONV_KINDS)
+def test_finetune_matches_per_view_oracle(kind, task):
+    cg, h_real, y_real, model = finetune_case(kind, task)
+    looped = model_for(kind, in_dim=4, out=cg.labels.shape[1], task=task, seed=33)
+    got = G.finetune_correlation(model, h_real, y_real, cg, batch_size=8, epochs=2,
+                                 rng=np.random.default_rng(34))
+    want = finetune_oracle(looped, h_real, y_real, cg, batch_size=8, epochs=2,
+                           rng=np.random.default_rng(34))
+    assert got["loss_kind"] == want["loss_kind"]
+    if kind in LINEAR_KINDS:
+        assert np.allclose(got["loss"], want["loss"], rtol=1e-12, atol=0.0)
+        assert all(np.abs(model.weights[k] - looped.weights[k]).max() <= 1e-10
+                   for k in looped.weights)
+    else:
+        assert got == want
+        assert all(np.array_equal(model.weights[k], looped.weights[k]) for k in looped.weights)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_operator_path_loss_gradients(kind, task):
+    cg, h_real, y_real, m = finetune_case(kind, task)
+    take = np.arange(0, 80, 10)
+    edges = connect_prepped(h_real[take], prep_rows(cg.features, cg.metric), cg.metric,
+                            cg.epsilon)[1]
+    prop = G.propagate_queries(kind, h_real[take], edges, prototype_rows(cg, kind))
+    target, loss_kind = G.label_targets(y_real[take], task, cg.labels.shape[1])
+    params = {k: T.Tensor(v) for k, v in m.weights.items()}
+    assert T.finite_diff_check(lambda tape: G._loss(params, m, prop, target, loss_kind),
+                               list(params.values())) <= 1e-4

@@ -36,3 +36,38 @@ def test_unused_import_scan_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private module-level functions, classes and constants (`_name`) that
+    the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_unread_private_name_scan_flags_only_unread_names():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\n"
+              "def _f():\n    return _A\n"
+              "def _g():\n    _local = 3\n"
+              "class _C:\n    _attr = 4\n"
+              "def main():\n    return _f(), _B\n")
+    assert unread_private_names(source) == ["line 6: _g", "line 8: _C"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
