@@ -15,7 +15,8 @@ independent of the original corpus size.
 
 The conv splits in two: `propagate`, the half that needs no weights, and
 the dense half. Training propagates each view once and runs only the
-dense half in its epochs.
+dense half in its epochs. gcn and sage aggregate in one place,
+`propagate_queries`, for views and fine-tune batches alike.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def init_gnn(kind: str, task: str, in_dim: int, hidden_dim: int, out_dim: int,
 @dataclass
 class GraphView:
     """Directed edges sorted by (dst, src), plus per-node degrees
-    (in-degree + 1 self-loop) and the target rows to produce."""
+    (in-degree + 1 self-loop) and the ascending target rows to produce."""
 
     features: np.ndarray
     edge_src: np.ndarray
@@ -141,26 +142,15 @@ def _params_of(model: GnnModel) -> dict[str, T.Tensor]:
     return {k: T.Tensor(v) for k, v in model.weights.items()}
 
 
-def _target_edges(view: GraphView):
-    """Edges landing on a target row, with dst remapped to target position.
-
-    A single conv layer only ever reads messages arriving at the rows it
-    outputs, so aggregation can skip every other destination.
-    """
-    idx_of = np.full(view.num_nodes, -1, dtype=np.intp)
-    idx_of[view.targets] = np.arange(view.targets.size, dtype=np.intp)
-    keep = idx_of[view.edge_dst] >= 0
-    return view.edge_src[keep], view.edge_dst[keep], idx_of[view.edge_dst[keep]]
-
-
 def propagate(view: GraphView, kind: str):
     """The weight-free half of the conv over the view's target rows.
 
-    gcn: the symmetric-normalized neighbor sum plus the self term; sage:
-    the self rows beside the mean- or max-pooled neighbor rows (zero rows
-    without neighbors). For these the conv is relu(P @ w_conv). gat: the
-    plan its attention runs on, (features, src, dst, run starts, targets),
-    with self-loops added and edges sorted by (dst, src)."""
+    gcn and sage: `propagate_queries` on the target rows, the edges that
+    reach them and the rows that send those, scaled by degree^-½ for gcn;
+    the conv is then relu(P @ w_conv). Rows that send nothing are left
+    out, so a compact view gives the full view's bits. gat: the plan its
+    attention runs on, (features, src, dst, run starts, targets), with
+    self-loops added and edges sorted by (dst, src)."""
     x = view.features
     if kind == "gat":
         loops = np.arange(view.num_nodes, dtype=np.intp)
@@ -169,29 +159,31 @@ def propagate(view: GraphView, kind: str):
         return x, src, dst, np.unique(dst, return_index=True)[1], view.targets
     if kind not in CONV_KINDS:
         raise ParameterError(f"unknown conv kind {kind!r}")
-    src_t, dst_orig, dst_t = _target_edges(view)
-    n_t = view.targets.size
+    # one conv reads only the messages that reach its targets
+    target_of = np.full(view.num_nodes, -1, dtype=np.intp)
+    target_of[view.targets] = np.arange(view.targets.size, dtype=np.intp)
+    dst = target_of[view.edge_dst]
+    keep = dst >= 0
+    src = view.edge_src[keep]
+    sends = np.zeros(view.num_nodes, dtype=bool)
+    sends[src] = True
+    rows = np.flatnonzero(sends)
+    sending = x[rows]
     if kind == "gcn":
-        d = view.degrees.astype(np.float64)
-        coef = 1.0 / np.sqrt(d[src_t] * d[dst_orig])
-        agg = T.segment_reduce(np.add, x[src_t] * coef.reshape(-1, 1), dst_t, n_t)
-        return agg + x[view.targets] * (1.0 / d[view.targets]).reshape(-1, 1)
-    if kind == "sage_mean":
-        counts = np.maximum(np.bincount(dst_t, minlength=n_t), 1).astype(np.float64)
-        neigh = T.segment_reduce(np.add, x[src_t], dst_t, n_t) / counts[:, None]
-    else:
-        neigh = T.segment_reduce(np.maximum, x[src_t], dst_t, n_t)
-    return np.concatenate([x[view.targets], neigh], axis=1)
+        sending = sending / np.sqrt(view.degrees[rows].astype(np.float64))[:, None]
+    return propagate_queries(kind, x[view.targets],
+                             np.stack([dst[keep], np.searchsorted(rows, src)], axis=1),
+                             sending)
 
 
 def query_operator(kind: str, edges: np.ndarray, b: int, k: int):
-    """The linear convs' neighbor sum for b queries as one dense (b, K)
-    operator on the K prototype rows, plus each query's divisor.
+    """The linear convs' neighbor sum for b queries as one dense (b, k)
+    operator on k sending rows, plus each query's divisor.
 
-    gcn: op[q, j] = d_q^-½ per connect edge (q, j), with d_q = q's edges
-    + 1, applied to S = diag((deg + 1)^-½) X_comp; `propagate` is then
-    op @ S + X_q / d_q. sage_mean: the edge-count matrix and max(count_q,
-    1), by which op @ X_comp is divided."""
+    gcn: op[q, j] = d_q^-½ per edge (q, j), with d_q = q's edges + 1,
+    applied to S = diag(degree^-½) X_send; the result is op @ S + X_q / d_q.
+    sage_mean: the edge-count matrix and max(count_q, 1), by which op @
+    X_send is divided."""
     q = edges[:, 0]
     counts = np.bincount(q, minlength=b).astype(np.float64)
     d = counts + 1.0 if kind == "gcn" else np.maximum(counts, 1.0)
@@ -201,10 +193,15 @@ def query_operator(kind: str, edges: np.ndarray, b: int, k: int):
 
 def propagate_queries(kind: str, x_query: np.ndarray, edges: np.ndarray,
                       comp_rows: np.ndarray) -> np.ndarray:
-    """`propagate(attach_view(cg, x_query, edges), kind)` for gcn and
-    sage_mean, through `query_operator` and no view. comp_rows is S (see
-    there) for gcn and X_comp for sage_mean."""
-    op, d = query_operator(kind, edges, x_query.shape[0], comp_rows.shape[0])
+    """The one gcn and sage aggregation: row q of x_query receives
+    comp_rows[j] along each edge (q, j), edges sorted by q. comp_rows is S
+    (see `query_operator`) for gcn, the raw sending rows for sage.
+    sage_max pools by max, zero rows for a query without edges."""
+    b = x_query.shape[0]
+    if kind == "sage_max":
+        neigh = T.segment_reduce(np.maximum, comp_rows[edges[:, 1]], edges[:, 0], b)
+        return np.concatenate([x_query, neigh], axis=1)
+    op, d = query_operator(kind, edges, b, comp_rows.shape[0])
     if kind == "gcn":
         return op @ comp_rows + x_query * (1.0 / d)[:, None]
     return np.concatenate([x_query, (op @ comp_rows) / d[:, None]], axis=1)
@@ -338,9 +335,9 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
     Real embeddings are batched; each batch connects to the compressed
     rows, prepared once, and the loss compares real-node predictions
     against their labels. Compressed features are inputs only and are
-    never updated. gcn and sage_mean propagate each batch through one
-    dense operator on the prototype rows (`propagate_queries`); gat and
-    sage_max propagate a compact view of it.
+    never updated. gcn and sage propagate each batch straight from the
+    prototype rows (`propagate_queries`); only gat builds a compact view
+    of it.
     """
     h_real = np.asarray(h_real, dtype=np.float64)
     n = h_real.shape[0]
@@ -366,11 +363,10 @@ def finetune_correlation(model: GnnModel, h_real: np.ndarray, y_real, cg: Compre
             take = order[start:start + batch_size]
             x = h_real[take]
             _, edges = connect_prepped(x, comp_prepped, metric, epsilon, fallback_m)
-            if model.kind in ("gcn", "sage_mean"):
-                prop = propagate_queries(model.kind, x, edges, comp_rows)
+            if model.kind == "gat":
+                prop = propagate(attach_view(cg, x, edges, comp_degrees=comp_deg), "gat")
             else:
-                prop = propagate(attach_view(cg, x, edges, comp_degrees=comp_deg),
-                                 model.kind)
+                prop = propagate_queries(model.kind, x, edges, comp_rows)
             total += opt.minimize(
                 lambda: _loss(params, model, prop, targets[take], loss_kind)) * take.size
         history["loss"].append(total / n)

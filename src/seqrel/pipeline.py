@@ -85,6 +85,14 @@ def check_task(cfg: PipelineConfig, found: str, source) -> None:
             f"config task {cfg.task!r} disagrees with {found!r} from {source}")
 
 
+def check_connection(cfg: PipelineConfig, cg: C.CompressedGraph, source) -> None:
+    """Validation, fine-tuning and the bundle connect queries by the metric
+    and epsilon the compressed graph was built with; the config must agree."""
+    if (cfg.metric, cfg.epsilon) != (cg.metric, cg.epsilon):
+        raise ArtifactError(f"config connects by {cfg.metric}/{cfg.epsilon}, but "
+                            f"{source} was built with {cg.metric}/{cg.epsilon}")
+
+
 def _load_labels(cfg: PipelineConfig, path):
     ids, x, labels = D.load_embeddings(path)
     check_task(cfg, D.label_task(labels), f"labels of {path}")
@@ -150,6 +158,7 @@ def run_train_gnn(cfg: PipelineConfig, compressed_path, out_dir,
     out_dir = Path(out_dir)
     cg = C.load_compressed(require_file(compressed_path, "compress"))
     check_task(cfg, cg.task, compressed_path)
+    check_connection(cfg, cg, compressed_path)
     val = None
     inputs = [compressed_path]
     if val_embeddings_path is not None:
@@ -177,6 +186,7 @@ def run_finetune(cfg: PipelineConfig, compressed_path, gnn_path,
     out_dir = Path(out_dir)
     cg = C.load_compressed(require_file(compressed_path, "compress"))
     check_task(cfg, cg.task, compressed_path)
+    check_connection(cfg, cg, compressed_path)
     model = G.load_gnn(require_file(gnn_path, "train-gnn"))
     check_task(cfg, model.task, gnn_path)
     _, x, y = _load_labels(cfg, require_file(embeddings_path, "embed"))
@@ -187,15 +197,13 @@ def run_finetune(cfg: PipelineConfig, compressed_path, gnn_path,
         inputs.append(encoder_path)
     start = time.perf_counter()
     history = G.finetune_correlation(
-        model, x, y, cg, metric=cfg.metric, epsilon=cfg.epsilon,
-        fallback_m=cfg.fallback_m, batch_size=cfg.batch_size,
+        model, x, y, cg, fallback_m=cfg.fallback_m, batch_size=cfg.batch_size,
         epochs=cfg.finetune_epochs, lr=cfg.finetune_lr,
         rng=stage_rng(cfg.seed, "finetune"))
     elapsed = time.perf_counter() - start
     out_model = out_dir / FINETUNED_FILE
     G.save_gnn(out_model, model)
-    bundle = I.build_bundle(encoder, model, cg, metric=cfg.metric,
-                            epsilon=cfg.epsilon, fallback_m=cfg.fallback_m)
+    bundle = I.build_bundle(encoder, model, cg, fallback_m=cfg.fallback_m)
     out_bundle = out_dir / BUNDLE_FILE
     I.save_bundle(out_bundle, bundle)
     write_manifest(out_dir, "finetune", cfg, {"finetune_s": elapsed},

@@ -141,12 +141,7 @@ def generate(cfg: GeneratorConfig) -> SynthResult:
         label = int(labels[i]) if cfg.task == D.CLASSIFICATION else float(labels[i])
         records.append(D.Record(id=f"s{i:06d}", events=events, label=label))
 
-    n_train = (4 * n) // 6
-    n_val = (5 * n) // 6 - n_train
-    parts = (records[:n_train], records[n_train:n_train + n_val],
-             records[n_train + n_val:])
-    splits = {name: D.SequenceDataset(part)
-              for name, part in zip(SPLIT_NAMES, parts)}
+    splits = dict(zip(SPLIT_NAMES, D.split_dataset(D.SequenceDataset(records))))
     archetype_of = {r.id: int(arch_of[i]) for i, r in enumerate(records)}
     return SynthResult(config=cfg, splits=splits, archetype_of=archetype_of,
                        archetype_info=info)

@@ -4,13 +4,16 @@ Everything here is deliberately written as plain per-pair / per-element
 loops with no shared code paths with the package. Slow and obvious wins.
 The exceptions build on the package on purpose: `taped_lstm_oracle`
 composes the tape's elementary primitives, so its gradients check the
-hand-written backward of `tensor.lstm_scan`, `full_attach_view_oracle`
-and `per_epoch_training_oracle` are the earlier, unhoisted forms of code
-that now takes a shortcut, `finetune_oracle` is fine-tuning before gcn and
-sage_mean skipped the view, and `lloyd_oracle` and `cluster_sums_oracle`
-are `compress.kmeans_pool` and its cluster sums before the triangle bound:
-every assignment a full pass over every center. `parameter`, `sigmoid`,
-`tanh` and `concat_cols` are tape primitives that only the tests use.
+hand-written backward of `tensor.lstm_scan`, `propagate_oracle` is the
+conv's weight-free half as a per-edge gather and segment sum, before the
+linear convs aggregated through one dense operator,
+`full_attach_view_oracle` and `per_epoch_training_oracle` are the
+earlier, unhoisted forms of code that now takes a shortcut,
+`finetune_oracle` is fine-tuning with every conv propagating a view, and
+`lloyd_oracle` and `cluster_sums_oracle` are `compress.kmeans_pool` and its
+cluster sums before the triangle bound: every assignment a full pass over
+every center. `parameter`, `sigmoid`, `tanh` and `concat_cols` are tape
+primitives that only the tests use.
 """
 
 import numpy as np
@@ -262,6 +265,31 @@ def taped_lstm_oracle(gates, steps):
     return h
 
 
+def propagate_oracle(view, kind):
+    """`gnn.propagate` as a gather of every edge landing on a target row,
+    scaled per edge for gcn, and a segment sum (max for sage_max) per
+    target; gat returns the same plan as `gnn.propagate`."""
+    x = view.features
+    if kind == "gat":
+        return G.propagate(view, kind)
+    idx_of = np.full(view.num_nodes, -1, dtype=np.intp)
+    idx_of[view.targets] = np.arange(view.targets.size, dtype=np.intp)
+    keep = idx_of[view.edge_dst] >= 0
+    src, dst = view.edge_src[keep], view.edge_dst[keep]
+    dst_t, n_t = idx_of[dst], view.targets.size
+    if kind == "gcn":
+        d = view.degrees.astype(np.float64)
+        coef = 1.0 / np.sqrt(d[src] * d[dst])
+        agg = T.segment_reduce(np.add, x[src] * coef.reshape(-1, 1), dst_t, n_t)
+        return agg + x[view.targets] * (1.0 / d[view.targets]).reshape(-1, 1)
+    if kind == "sage_mean":
+        counts = np.maximum(np.bincount(dst_t, minlength=n_t), 1).astype(np.float64)
+        neigh = T.segment_reduce(np.add, x[src], dst_t, n_t) / counts[:, None]
+    else:
+        neigh = T.segment_reduce(np.maximum, x[src], dst_t, n_t)
+    return np.concatenate([x[view.targets], neigh], axis=1)
+
+
 def full_attach_view_oracle(cg, x_query, connect_edges):
     """Queries appended after all K compressed rows, with edges sorted by
     (dst, src): the view before attachment kept only connected rows."""
@@ -278,16 +306,18 @@ def full_attach_view_oracle(cg, x_query, connect_edges):
 
 
 def per_epoch_training_oracle(model, cg, *, lr=5e-3, epochs=50, val=None,
-                              patience=10, fallback_m=1):
+                              patience=10, fallback_m=1, propagate=propagate_oracle):
     """`gnn.train_on_compressed` as it was before propagation was hoisted:
-    every epoch and every validation pass runs the whole conv on its view."""
+    every epoch and every validation pass runs the whole conv on its view,
+    propagated by `propagate` (`gnn.propagate` isolates the hoisting)."""
     loss_kind = "ce" if cg.task == "classification" and cg.label_onehot else "mse"
     params = {k: T.Tensor(v) for k, v in model.weights.items()}
     opt = T.Adam(list(params.values()), lr=lr)
     view = G.compressed_view(cg)
 
     def loss(v, target, kind):
-        pred = G.predict_tensor(params, G.gnn_forward(params, model.kind, v), model.task)
+        prop = propagate(v, model.kind)
+        pred = G.predict_tensor(params, G._dense(params, model.kind, prop), model.task)
         return T.LOSSES[kind](pred, T.constant(target))
 
     stopper = None
@@ -336,8 +366,8 @@ def finetune_oracle(model, h_real, y_real, cg, *, metric=None, epsilon=None,
             view = G.attach_view(cg, h_real[take], edges, comp_degrees=comp_deg)
 
             def loss():
-                pred = G.predict_tensor(params, G.gnn_forward(params, model.kind, view),
-                                        model.task)
+                h = G._dense(params, model.kind, propagate_oracle(view, model.kind))
+                pred = G.predict_tensor(params, h, model.task)
                 return T.LOSSES[loss_kind](pred, T.constant(targets[take]))
 
             total += opt.minimize(loss) * take.size

@@ -470,3 +470,27 @@ def test_eval_rejects_a_bundle_of_the_other_task_exit_3(workspace, tmp_path):
     assert tail["error"] == "TaskMismatchError"
     assert "classification" in tail["message"]
     assert not (tmp_path / P.EVAL_FILE).exists()
+
+
+@pytest.mark.parametrize("command", ["train-gnn", "finetune"])
+@pytest.mark.parametrize("overrides", [
+    ("metric=pearson", "epsilon=0.2"),
+    ("epsilon=0.2",),
+    ("metric=pearson",),
+], ids=["metric and epsilon", "epsilon", "metric"])
+def test_stages_reject_a_connection_rule_other_than_the_compressed_graphs_exit_3(
+        workspace, tmp_path, command, overrides):
+    out = workspace["out"]
+    inputs = ["--compressed", str(out / P.COMPRESSED_FILE)]
+    if command == "finetune":
+        inputs += ["--gnn", str(out / P.GNN_FILE),
+                   "--embeddings", str(out / P.EMBEDDINGS_FILE), "--no-encoder"]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    run = tmp_path / "out"
+    result = workspace["runner"].invoke(main, [
+        command, *inputs, "--out-dir", str(run), *workspace["flags"], *sets])
+    assert result.exit_code == 3, result.output
+    tail = json.loads(result.stderr.strip().splitlines()[-1])
+    assert tail["error"] == "ArtifactError"
+    assert "cosine/0.5" in tail["message"]
+    assert not run.exists()

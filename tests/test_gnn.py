@@ -9,6 +9,7 @@ from oracles import (
     full_attach_view_oracle,
     gnn_forward_oracle,
     per_epoch_training_oracle,
+    propagate_oracle,
 )
 from seqrel import gnn as G
 from seqrel.compress import CompressedGraph
@@ -16,6 +17,7 @@ from seqrel.exceptions import DimensionError, EmptyInputError, TaskMismatchError
 from seqrel.graph import connect_prepped, prep_rows
 
 LINEAR_KINDS = ("gcn", "sage_mean")
+AGGREGATED_KINDS = ("gcn", "sage_mean", "sage_max")
 
 
 def make_cg(x, y, edges, task="classification", onehot=True, metric="cosine", eps=0.5):
@@ -387,14 +389,27 @@ def test_hoisted_training_matches_per_epoch_loop(kind, with_val):
     val = (rng.normal(size=(12, 3)) * 3.0, rng.integers(0, 2, size=12)) if with_val else None
     hoisted, looped = model_for(kind, seed=30), model_for(kind, seed=30)
     got = G.train_on_compressed(hoisted, cg, epochs=40, val=val, patience=3)
-    want = per_epoch_training_oracle(looped, cg, epochs=40, val=val, patience=3)
+    want = per_epoch_training_oracle(looped, cg, epochs=40, val=val, patience=3,
+                                     propagate=G.propagate)
     assert got == want
     assert all(np.array_equal(hoisted.weights[k], looped.weights[k]) for k in looped.weights)
+    # and against the per-edge aggregation
+    edged = model_for(kind, seed=30)
+    ref = per_epoch_training_oracle(edged, cg, epochs=40, val=val, patience=3)
+    if kind == "sage_max":
+        assert got == ref
+        assert all(np.array_equal(hoisted.weights[k], edged.weights[k]) for k in edged.weights)
+    else:
+        assert got["best_epoch"] == ref["best_epoch"]
+        for key in ("loss", "val_loss"):
+            assert np.allclose(got[key], ref[key], rtol=1e-12, atol=0.0)
+        assert all(np.abs(hoisted.weights[k] - edged.weights[k]).max() <= 1e-10
+                   for k in edged.weights)
 
 
 def prototype_rows(cg, kind):
     """What `propagate_queries` reads: S = diag((deg + 1)^-½) X_comp for
-    gcn, X_comp for sage_mean."""
+    gcn, X_comp for sage."""
     if kind == "gcn":
         return cg.features / np.sqrt(cg.degrees() + 1.0)[:, None]
     return cg.features
@@ -416,11 +431,83 @@ def test_query_operator_matches_view_propagation(k, d, b, eps, fallback_m, metri
     queries = rng.normal(size=(b, d))
     # eps 1.5 leaves every query on the top-m fallback
     edges = connect_prepped(queries, prep_rows(x, metric), metric, eps, fallback_m)[1]
-    for kind in LINEAR_KINDS:
+    for kind in AGGREGATED_KINDS:
         got = G.propagate_queries(kind, queries, edges, prototype_rows(cg, kind))
-        want = G.propagate(G.attach_view(cg, queries, edges), kind)
+        want = propagate_oracle(G.attach_view(cg, queries, edges), kind)
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
+        if kind == "sage_max":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def hand_built_view(rng, n, d):
+    """Random directed edges among n rows, duplicates and self-loops
+    allowed, sorted by (dst, src); the targets are a random ascending
+    subset of the rows, degrees count in-edges plus the self-loop."""
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+    m = int(rng.integers(0, 3 * n + 1))
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    order = np.lexsort((src, dst))
+    targets = np.flatnonzero(rng.random(n) < 0.5)
+    if targets.size == 0:
+        targets = np.array([int(rng.integers(n))])
+    return G.GraphView(features=x, edge_src=src[order], edge_dst=dst[order],
+                       degrees=np.bincount(dst, minlength=n) + 1, targets=targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(["compressed", "query", "hand-built"]),
+       k=st.integers(1, 10), d=st.integers(1, 5), b=st.integers(1, 6),
+       eps=st.sampled_from([-0.5, 0.0, 0.3, 0.8, 1.5]), fallback_m=st.integers(1, 3),
+       metric=st.sampled_from(["cosine", "pearson"]), seed=st.integers(0, 2**32 - 1))
+@example(shape="query", k=6, d=3, b=1, eps=0.3, fallback_m=1, metric="cosine", seed=3)
+@example(shape="query", k=6, d=3, b=4, eps=1.5, fallback_m=2, metric="pearson", seed=4)
+@example(shape="compressed", k=8, d=2, b=1, eps=0.0, fallback_m=1, metric="cosine", seed=5)
+@example(shape="hand-built", k=9, d=4, b=1, eps=0.0, fallback_m=1, metric="cosine", seed=6)
+def test_propagate_matches_per_edge_oracle(shape, k, d, b, eps, fallback_m, metric, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "hand-built":
+        view = hand_built_view(rng, k, d)
+    else:
+        x = rng.normal(size=(k, d)) * rng.uniform(0.1, 5.0)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        # sparse compressed edges leave some prototypes isolated
+        cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=k)],
+                     [p for p in pairs if rng.random() < 0.2], metric=metric, eps=eps)
+        if shape == "compressed":
+            view = G.compressed_view(cg)
+        else:
+            queries = rng.normal(size=(b, d))
+            # eps 1.5 leaves every query on the top-m fallback
+            edges = connect_prepped(queries, prep_rows(x, metric), metric, eps,
+                                    fallback_m)[1]
+            view = G.attach_view(cg, queries, edges)
+    for kind in AGGREGATED_KINDS:
+        got, want = G.propagate(view, kind), propagate_oracle(view, kind)
+        assert got.shape == want.shape
+        if kind == "sage_max":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_propagate_sizes_operator_to_sending_rows(monkeypatch):
+    seen = []
+    real = G.query_operator
+    monkeypatch.setattr(G, "query_operator",
+                        lambda kind, edges, b, k: seen.append((b, k)) or real(kind, edges, b, k))
+    rng = np.random.default_rng(35)
+    cg = make_cg(rng.normal(size=(6, 3)), np.eye(2)[[0, 1, 0, 1, 0, 1]],
+                 [[0, 1], [1, 2], [3, 4]])  # prototype 5 is isolated
+    queries = rng.normal(size=(3, 3))
+    edges = np.array([[0, 1], [0, 3], [1, 3], [2, 1]])
+    for kind in LINEAR_KINDS:
+        seen.clear()
+        G.propagate(G.attach_view(cg, queries, edges), kind)
+        G.propagate(full_attach_view_oracle(cg, queries, edges), kind)
+        G.propagate(G.compressed_view(cg), kind)
+        assert seen == [(3, 2), (3, 2), (6, 5)], kind
 
 
 def finetune_case(kind, task="classification"):

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "seqrel").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "seqrel").glob("*.py"))
+BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +73,64 @@ def test_unread_private_name_scan_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+# public helpers only the tests call: acceptance criteria exercise them
+TEST_ONLY_PUBLIC = [
+    "compress.py: trace_representatives",
+    "data.py: read_demand_csv",
+    "gnn.py: forward_view",
+    "graph.py: build_knn_graph",
+    "synth.py: write_demand_csv",
+    "tensor.py: finite_diff_check",
+]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a source reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def is_click_command(node: ast.FunctionDef) -> bool:
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def unreferenced_public_functions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Public module-level functions of `modules` (file name -> source) that
+    no reader source references; click commands are entry points."""
+    used = set().union(*(referenced_names(source) for source in readers))
+    return [f"{name}: {node.name}" for name, source in sorted(modules.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and not is_click_command(node)
+            and node.name not in used]
+
+
+def package_modules() -> tuple[dict[str, str], list[str]]:
+    modules = {p.name: p.read_text() for p in SOURCES}
+    return modules, list(modules.values()) + [p.read_text() for p in BENCH_SOURCES]
+
+
+def test_public_function_scan_flags_an_appended_unused_helper():
+    source = ("import click\n@click.group()\ndef main():\n    pass\n"
+              "@main.command()\ndef run():\n    pass\n"
+              "def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n")
+    assert unreferenced_public_functions({"m.py": source}, ["m.used()"]) == ["m.py: unused"]
+    modules, readers = package_modules()
+    modules["gnn.py"] += "\n\ndef leftover_helper(x):\n    return x\n"
+    readers.append(modules["gnn.py"])
+    assert "gnn.py: leftover_helper" in unreferenced_public_functions(modules, readers)
+
+
+def test_public_functions_outside_the_test_only_list_have_a_caller():
+    assert unreferenced_public_functions(*package_modules()) == TEST_ONLY_PUBLIC
