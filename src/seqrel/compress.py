@@ -43,6 +43,37 @@ inequality to accelerate k-means", ICML 2003) shows it cannot win:
   per group, do fewer multiply-adds than the full pass. The full pass runs
   otherwise, and on small pools it always does. SSE values from a bounded
   pass may differ from the full pass's in the last bits.
+
+k-means++ seeding (Arthur and Vassilvitskii, "k-means++: the advantages of
+careful seeding", SODA 2007) keeps the full loop's centers: that loop
+rescans the pool per center and draws the next one by
+rng.choice(n, p=d2 / d2.sum()), with d2 each point's smallest value of
+fl(x2 - 2 x.c + c2) so far. On large pools each point also keeps near, the
+center that gave its d2, and a new center c rescores only the points the
+same triangle bound cannot rule out:
+
+- Bound. With r = |x - c_near| <= sqrt(d2 + e) and S^2 >= cc - e for the
+  computed center-to-center value cc, a point is skipped when
+  cc - e >= (sqrt(d2 + e) + sqrt(d2 + 3e))^2, raised by a relative 2^-20.
+  Then |x - c|^2 >= (S - r)^2 >= d2 + 3e, so the full loop's value for c
+  is at least its value for c_near and cannot lower its d2. The rest are
+  scored over a gather of their rows, whose bits may differ from the full
+  gemv's. Each kept d2 and the full loop's are minima over the same
+  centers of values within e of exact, so they differ by at most eta = 2e.
+- Pick. Generator.choice(n, p) draws one u = rng.random() and returns
+  searchsorted(cumsum(p) / cumsum(p)[-1], u, "right"). With S the sum of
+  the kept d2, each partial sum is within n eta of the full loop's, so each
+  cdf entry is within 2 n eta / (S - n eta), plus 2 (n + 4) eps for the
+  roundings of either cdf. The kept pick is taken only when S > 2 n eta,
+  which also makes the full loop's total positive (so it too draws u), and
+  when u lies more than delta, twice that bound, from both cdf edges of
+  the pick; then it is the full loop's pick.
+- Fallback. Otherwise d2 is recomputed with the full loop's passes over
+  every center so far, the full loop's rule picks with the same u (or
+  draws itself when the total is small), and the full loop seeds the rest.
+- Cost. Bounded seeding runs when one fixed cost per center,
+  _CLUSTER_STEP_MADDS, is less than a full pass over the pool; small pools
+  always take the full loop.
 """
 
 from __future__ import annotations
@@ -80,11 +111,14 @@ def _sq_dists_to(x: np.ndarray, x2: np.ndarray, center: np.ndarray) -> np.ndarra
 
 
 def _kmeanspp(x: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
+    n, dim = x.shape
+    centers = np.empty((k, dim))
     centers[0] = x[int(rng.integers(n))]
     d2 = _sq_dists_to(x, x2, centers[0])
-    for j in range(1, k):
+    start = 1
+    if _bounded_pays(n, dim, k, k, 0):  # one step per center, even if every row is skipped
+        start, d2 = _seed_bounded(x, x2, centers, d2, rng)
+    for j in range(start, k):
         total = d2.sum()
         if total > 0.0:
             pick = int(rng.choice(n, p=d2 / total))
@@ -93,6 +127,81 @@ def _kmeanspp(x: np.ndarray, x2: np.ndarray, k: int, rng: np.random.Generator) -
         centers[j] = x[pick]
         np.minimum(d2, _sq_dists_to(x, x2, centers[j]), out=d2)
     return centers
+
+
+def _seed_bounded(x, x2, centers, d2, rng):
+    """The full seeding loop's centers from the second on, each new center
+    rescoring only the points the triangle bound leaves it (see the module
+    docstring). Returns the index of the next center to pick and the full
+    loop's d2 for the centers before it, or (k, None) when every center is
+    picked here."""
+    n, dim = x.shape
+    k = centers.shape[0]
+    slack = (16.0 * (dim + 8) * np.finfo(np.float64).eps * x2.max()
+             + dim * np.finfo(np.float64).tiny)
+    c2 = np.empty(k)
+    c2[0] = centers[0] @ centers[0]
+    near = np.zeros(n, dtype=np.intp)
+    reach = _seed_reach(d2, slack)
+    for j in range(1, k):
+        cum = np.cumsum(d2)
+        if not cum[-1] > 4.0 * n * slack:  # S > 2 n eta
+            return j, _seed_full_d2(x, x2, centers[:j])
+        u = rng.random()  # the one draw rng.choice(n, p) makes
+        pick = _seed_pick(cum, u, 2.0 * slack)
+        if pick is None:
+            d2 = _seed_full_d2(x, x2, centers[:j])
+            cdf = np.cumsum(d2 / d2.sum())
+            cdf /= cdf[-1]
+            centers[j] = x[int(np.searchsorted(cdf, u, side="right"))]
+            np.minimum(d2, _sq_dists_to(x, x2, centers[j]), out=d2)
+            return j + 1, d2
+        centers[j] = x[pick]
+        c2[j] = centers[j] @ centers[j]
+        _seed_rescore(x, x2, centers[:j + 1], c2[:j + 1], d2, near, reach, slack)
+    return k, None
+
+
+def _seed_pick(cum, u, eta):
+    """rng.choice(n, p=d2 / d2.sum())'s pick for its draw u, from `cum`, the
+    cumulative sum of kept values each within eta of d2, when both cdf edges
+    of the pick lie more than delta from u; None otherwise."""
+    n, total = cum.size, cum[-1]
+    delta = 2.0 * (2.0 * n * eta / (total - n * eta) + 2.0 * (n + 4) * np.finfo(np.float64).eps)
+    pick = int(np.searchsorted(cum, u * total, side="right"))
+    if pick == n or u - (cum[pick - 1] / total if pick else 0.0) <= delta:
+        return None
+    return pick if cum[pick] / total - u > delta else None
+
+
+def _seed_rescore(x, x2, centers, c2, d2, near, reach, slack):
+    """Lower d2 (with near and reach) by the last of `centers` at every
+    point the bound cannot rule out; returns the points scored."""
+    j = centers.shape[0] - 1
+    cc = c2[:j] - 2.0 * (centers[:j] @ centers[j]) + c2[j]
+    cand = np.flatnonzero(cc[near] < reach)
+    for start in range(0, cand.size, _ASSIGN_BLOCK):  # a bounded gather
+        rows = cand[start:start + _ASSIGN_BLOCK]
+        new = _sq_dists_to(x[rows], x2[rows], centers[j])
+        better = new < d2[rows]
+        rows = rows[better]
+        d2[rows], near[rows], reach[rows] = new[better], j, _seed_reach(new[better], slack)
+    return cand
+
+
+def _seed_reach(d2, slack):
+    """Per point, the computed center-to-center value below which a new
+    center may lower its d2: (sqrt(d2 + e) + sqrt(d2 + 3e))^2, raised by a
+    relative 2^-20, plus e."""
+    return (np.sqrt(d2 + slack) + np.sqrt(d2 + 3.0 * slack)) ** 2 * (1.0 + 2.0 ** -20) + slack
+
+
+def _seed_full_d2(x, x2, centers):
+    """The full seeding loop's d2 after `centers`, pass by pass."""
+    d2 = _sq_dists_to(x, x2, centers[0])
+    for c in centers[1:]:
+        np.minimum(d2, _sq_dists_to(x, x2, c), out=d2)
+    return d2
 
 
 _ASSIGN_BLOCK = 8192
@@ -227,6 +336,12 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
     Returns (cluster index per point, per-iteration SSE trace). An empty
     cluster is re-seeded to the point farthest from its old centroid.
 
+    Seeding picks the centers of a full rescan of the pool per center and
+    leaves the rng in the same state. On large pools each new center
+    rescores only the points the triangle bound leaves it, and a pick is
+    taken only when its margin certifies it; otherwise d2 is recomputed by
+    full passes and the full loop picks from there.
+
     Every iteration's labels are those of a full pass over every center,
     exact ties included. From the second assignment on, each cluster of the
     previous partition is scored only against the centers that the
@@ -234,7 +349,8 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
     whose two best candidates lie within 4e of each other is re-scored by
     the full pass over its block. The full pass runs whenever the bound
     would not save work. SSE values may differ from the full pass's in the
-    last bits. The module docstring gives the bound, e and the fallback.
+    last bits. The module docstring gives the bounds, e, eta, delta, the
+    fallbacks and the cost rules.
     """
     n = x.shape[0]
     if not 1 <= k <= n:

@@ -15,8 +15,9 @@ independent of the original corpus size.
 
 The conv splits in two: `propagate`, the half that needs no weights, and
 the dense half. Training propagates each view once and runs only the
-dense half in its epochs. gcn and sage aggregate in one place,
-`propagate_queries`, for views and fine-tune batches alike.
+dense half in its epochs. gcn and sage_mean aggregate in one place,
+`propagate_queries`, for views and fine-tune batches alike, and sage_max
+pools in one place, `_max_pool`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exceptions import (
     ParameterError,
     TaskMismatchError,
 )
-from .graph import connect_prepped, connect_to_compressed, prep_rows
+from .graph import _BLOCK, connect_prepped, connect_to_compressed, prep_rows
 from .ioutil import read_json, write_json_atomic
 
 CONV_KINDS = ("gcn", "sage_mean", "sage_max", "gat")
@@ -145,10 +146,11 @@ def _params_of(model: GnnModel) -> dict[str, T.Tensor]:
 def propagate(view: GraphView, kind: str):
     """The weight-free half of the conv over the view's target rows.
 
-    gcn and sage: `propagate_queries` on the target rows, the edges that
-    reach them and the rows that send those, scaled by degree^-½ for gcn;
-    the conv is then relu(P @ w_conv). Rows that send nothing are left
-    out, so a compact view gives the full view's bits. gat: the plan its
+    gcn and sage_mean: `propagate_queries` on the target rows, the edges
+    that reach them and the rows that send those, scaled by degree^-½ for
+    gcn; the conv is then relu(P @ w_conv). Rows that send nothing are left
+    out, so a compact view gives the full view's bits. sage_max pools the
+    view's rows along those edges directly (`_max_pool`). gat: the plan its
     attention runs on, (features, src, dst, run starts, targets), with
     self-loops added and edges sorted by (dst, src)."""
     x = view.features
@@ -165,6 +167,9 @@ def propagate(view: GraphView, kind: str):
     dst = target_of[view.edge_dst]
     keep = dst >= 0
     src = view.edge_src[keep]
+    if kind == "sage_max":
+        return np.concatenate([x[view.targets], _max_pool(x, dst[keep], src,
+                                                          view.targets.size)], axis=1)
     sends = np.zeros(view.num_nodes, dtype=bool)
     sends[src] = True
     rows = np.flatnonzero(sends)
@@ -196,15 +201,29 @@ def propagate_queries(kind: str, x_query: np.ndarray, edges: np.ndarray,
     """The one gcn and sage aggregation: row q of x_query receives
     comp_rows[j] along each edge (q, j), edges sorted by q. comp_rows is S
     (see `query_operator`) for gcn, the raw sending rows for sage.
-    sage_max pools by max, zero rows for a query without edges."""
+    sage_max pools by max (`_max_pool`)."""
     b = x_query.shape[0]
     if kind == "sage_max":
-        neigh = T.segment_reduce(np.maximum, comp_rows[edges[:, 1]], edges[:, 0], b)
-        return np.concatenate([x_query, neigh], axis=1)
+        return np.concatenate([x_query, _max_pool(comp_rows, edges[:, 0], edges[:, 1], b)],
+                              axis=1)
     op, d = query_operator(kind, edges, b, comp_rows.shape[0])
     if kind == "gcn":
         return op @ comp_rows + x_query * (1.0 / d)[:, None]
     return np.concatenate([x_query, (op @ comp_rows) / d[:, None]], axis=1)
+
+
+def _max_pool(rows: np.ndarray, q: np.ndarray, src: np.ndarray, b: int) -> np.ndarray:
+    """sage_max's neighbor half: for each of b queries, the column max of
+    rows[src] over its edges (q sorted), zero rows for a query without
+    edges. Blocks of _BLOCK queries bound the gathered rows."""
+    out = np.zeros((b, rows.shape[1]))
+    # each block's edge range; a single block needs no search
+    cuts = ([0, q.size] if b <= _BLOCK
+            else np.searchsorted(q, np.arange(0, b + _BLOCK, _BLOCK)))
+    for start, lo, hi in zip(range(0, b, _BLOCK), cuts[:-1], cuts[1:]):
+        out[start:start + _BLOCK] = T.segment_reduce(np.maximum, rows[src[lo:hi]],
+                                                     q[lo:hi] - start, min(_BLOCK, b - start))
+    return out
 
 
 def _attend(params: dict[str, T.Tensor], plan) -> T.Tensor:

@@ -143,8 +143,10 @@ def connect_from_sims(sims: np.ndarray, epsilon: float,
     hits = sims > epsilon
     misses = np.nonzero(~hits.any(axis=1))[0]
     if misses.size:
-        order = np.argsort(-sims[misses], axis=1, kind="stable")[:, :m]
-        hits[misses[:, None], order] = True
+        # argmax and the stable sort both keep the first of equal scores
+        top = (np.argmax(sims[misses], axis=1)[:, None] if m == 1
+               else np.argsort(-sims[misses], axis=1, kind="stable")[:, :m])
+        hits[misses[:, None], top] = True
     src, dst = np.nonzero(hits)
     return np.column_stack([src, dst]) if src.size else _empty_edges()
 

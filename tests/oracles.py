@@ -9,10 +9,12 @@ conv's weight-free half as a per-edge gather and segment sum, before the
 linear convs aggregated through one dense operator,
 `full_attach_view_oracle` and `per_epoch_training_oracle` are the
 earlier, unhoisted forms of code that now takes a shortcut,
-`finetune_oracle` is fine-tuning with every conv propagating a view, and
-`lloyd_oracle` and `cluster_sums_oracle` are `compress.kmeans_pool` and its
-cluster sums before the triangle bound: every assignment a full pass over
-every center. `parameter`, `sigmoid`, `tanh` and `concat_cols` are tape
+`finetune_oracle` is fine-tuning with every conv propagating a view,
+`connect_from_sims_oracle` is the fallback top-m as a stable sort of the
+whole row, and `lloyd_oracle`, `_kmeanspp` and `cluster_sums_oracle` are
+`compress.kmeans_pool`, its seeding and its cluster sums before the
+triangle bound: every assignment and every seeding step a full pass over
+the pool. `parameter`, `sigmoid`, `tanh` and `concat_cols` are tape
 primitives that only the tests use.
 """
 
@@ -69,6 +71,18 @@ def connect_oracle(x_query, x_comp, metric, eps, m=1):
             hit = sorted(j for _, j in scored[:min(m, len(x_comp))])
         edges.extend((q, j) for j in hit)
     return edges
+
+
+def connect_from_sims_oracle(sims, eps, m=1):
+    """`graph.connect_from_sims` with every fallback query's top m taken
+    from a stable sort of its whole negated row, as before m = 1 took an
+    argmax."""
+    hits = sims > eps
+    misses = np.nonzero(~hits.any(axis=1))[0]
+    if misses.size:
+        order = np.argsort(-sims[misses], axis=1, kind="stable")[:, :min(m, sims.shape[1])]
+        hits[misses[:, None], order] = True
+    return np.argwhere(hits)
 
 
 def compress_oracle(phi_columns, x, y):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cluster_sums_oracle, compress_oracle, epsilon_graph_oracle,
-                     lloyd_oracle)
+from oracles import (_kmeanspp, cluster_sums_oracle, compress_oracle,
+                     epsilon_graph_oracle, lloyd_oracle)
 from seqrel import compress as C
 from seqrel.exceptions import InfeasibleBalanceError, ParameterError
 
@@ -78,21 +78,30 @@ def test_kmeans_recovers_separated_blobs():
 
 
 def assert_same_lloyd_run(x, k, seed, max_iters, always_bounded=True):
-    """kmeans_pool against the full-pass oracle, down to the labels each
-    center update used."""
-    steps = []
-    group = C._group
+    """kmeans_pool against the full-pass oracle, down to the seeded centers
+    and the labels each center update used. always_bounded forces the
+    bounded seeding and the bounded passes."""
+    steps, seeded = [], []
+    group, seed_centers = C._group, C._kmeanspp
 
     def spy(x_, labels):
         steps.append(labels.copy())
         return group(x_, labels)
 
+    def seed_spy(*args):
+        centers = seed_centers(*args)
+        seeded.append(centers.copy())  # Lloyd updates the centers in place
+        return centers
+
     forced = (mock.patch.object(C, "_bounded_pays", lambda *a: True) if always_bounded
               else contextlib.nullcontext())
-    with mock.patch.object(C, "_group", spy), forced:
+    with mock.patch.object(C, "_group", spy), mock.patch.object(C, "_kmeanspp", seed_spy), forced:
         labels, trace = C.kmeans_pool(x, k, np.random.default_rng(seed), max_iters)
     want_labels, want_trace, want_steps = lloyd_oracle(
         x, k, np.random.default_rng(seed), max_iters)
+    if seeded:
+        assert np.array_equal(seeded[0], _kmeanspp(x, (x * x).sum(axis=1), k,
+                                                   np.random.default_rng(seed)))
     assert len(trace) == len(want_trace)
     assert len(steps) == len(want_steps)
     for got, want in zip(steps, want_steps):
@@ -163,6 +172,191 @@ def test_bounded_pass_matches_full_pass_on_equidistant_centers(dim, n, data):
     with mock.patch.object(C, "_bounded_pays", lambda *a: True):
         got, _ = C._assign_bounded(x, x2, centers, C._group(x, rng.integers(0, k, n)))
     assert np.array_equal(got, want)
+
+
+def seeding_slack(x):
+    """compress.py's e for a pool whose centers are its own rows."""
+    eps = np.finfo(np.float64).eps
+    return (16.0 * (x.shape[1] + 8) * eps * (x * x).sum(axis=1).max()
+            + x.shape[1] * np.finfo(np.float64).tiny)
+
+
+def moved_gathers(x):
+    """Scores of a gathered subset of the pool come out e/4 above the full
+    gemv's, as on a BLAS whose subset products round differently; the
+    rounding itself stays below e/8, so they remain within e of exact."""
+    real, shift = C._sq_dists_to, seeding_slack(x) / 4.0
+
+    def moved(rows, rows2, center):
+        out = real(rows, rows2, center)
+        return out + shift if rows.shape[0] < x.shape[0] else out
+
+    return mock.patch.object(C, "_sq_dists_to", moved)
+
+
+def assert_same_seeding(x, k, seed):
+    """Bounded seeding's centers and next draw against the full loop's."""
+    x2 = (x * x).sum(axis=1)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = C._kmeanspp(x, x2, k, got_rng), _kmeanspp(x, x2, k, want_rng)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_pools())
+def test_bounded_seeding_matches_full_loop_when_gathers_round_differently(pool):
+    x, k, seed, _ = pool
+    with mock.patch.object(C, "_bounded_pays", lambda *a: True), moved_gathers(x):
+        assert_same_seeding(x, k, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pools())
+def test_bounded_seeding_falls_back_when_no_pick_is_certified(pool):
+    x, k, seed, _ = pool
+    with (mock.patch.object(C, "_bounded_pays", lambda *a: True),
+          mock.patch.object(C, "_seed_pick", lambda *a: None)):
+        assert_same_seeding(x, k, seed)
+
+
+@pytest.mark.parametrize("certified", [0, 1, 5])
+def test_seed_fallback_hands_over_the_full_loops_d2(certified):
+    """The first `certified` picks pass, over moved gathered scores; the
+    next fails its margin check, and the full loop then holds its own
+    d2."""
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(500, 8))
+    x2 = (x * x).sum(axis=1)
+    pick, calls = C._seed_pick, []
+
+    def failing(*args):
+        calls.append(1)
+        return pick(*args) if len(calls) <= certified else None
+
+    handed = []
+    bounded = C._seed_bounded
+
+    def spy(*args):
+        start, d2 = bounded(*args)
+        handed.append((start, d2.copy()))  # the full loop lowers d2 in place
+        return start, d2
+
+    with (mock.patch.object(C, "_bounded_pays", lambda *a: True), moved_gathers(x),
+          mock.patch.object(C, "_seed_pick", failing), mock.patch.object(C, "_seed_bounded", spy)):
+        assert_same_seeding(x, 12, 44)
+    start, d2 = handed[0]
+    assert start == certified + 2
+    want = _kmeanspp(x, x2, 12, np.random.default_rng(44))
+    assert np.array_equal(d2, np.min([C._sq_dists_to(x, x2, c) for c in want[:start]], axis=0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 200), st.data())
+def test_choice_is_one_draw_and_a_search(n, data):
+    """Bounded seeding replays rng.choice(n, p) as rng.random() and a
+    search of the normalized cumulative sum."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.choice([0.0, 1.0, 2.0, 3.0], n) * rng.random(n) ** data.draw(st.sampled_from([0, 1]))
+    if not p.any():
+        p[rng.integers(n)] = 1.0
+    p *= 10.0 ** data.draw(st.sampled_from([-300, -200, -10, 0, 10, 300]))
+    p = p / p.sum()
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    assert int(a.choice(n, p=p)) == int(np.searchsorted(cdf, b.random(), side="right"))
+    assert a.random() == b.random()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 200), st.data())
+def test_seed_pick_is_the_full_loops_pick_whenever_it_accepts(n, data):
+    """The kept values are the exact ones moved by up to eta, and u sits a
+    few ulps from the edges of either cdf."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d2 = rng.choice([0.0, 1.0, 1.0, 2.0], n) * rng.random(n) ** data.draw(st.sampled_from([0, 1]))
+    if not d2.any():
+        d2[rng.integers(n)] = 1.0
+    d2 *= 10.0 ** rng.uniform(-100, 100)
+    eta = d2.sum() / n * 10.0 ** data.draw(st.sampled_from([-15, -10, -6, -3, -1]))
+    kept = np.maximum(d2 + eta * rng.uniform(-1.0, 1.0, n), 0.0)
+    cum = np.cumsum(kept)
+    if not cum[-1] > 2.0 * n * eta:
+        return
+    cdf = np.cumsum(d2 / d2.sum())
+    cdf /= cdf[-1]
+    edges = np.concatenate([cdf, cum / cum[-1], [0.0]])
+    for edge in edges[rng.integers(edges.size, size=8)]:
+        for ulps in range(-3, 4):
+            u = edge
+            for _ in range(abs(ulps)):
+                u = np.nextafter(u, np.inf if ulps > 0 else -np.inf)
+            if not 0.0 <= u < 1.0:
+                continue
+            pick = C._seed_pick(cum, u, eta)
+            if pick is not None:
+                assert pick == int(np.searchsorted(cdf, u, side="right"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 30), st.data())
+def test_seed_rescore_skips_only_points_the_new_center_cannot_lower(dim, n, data):
+    """Centers come in mirror pairs, b + v and b + P v for a signed
+    permutation P, around points b of the pool, far from the origin;
+    P = -I puts b at their midpoint, where the bound is tight. Each b is
+    exactly equidistant from both, and their computed distances differ by
+    rounding far above a relative 2^-20 of the distance."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    far = 10.0 ** rng.uniform(0, 7) * rng.normal(size=dim)
+    pool = far + rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 1)
+    pairs = data.draw(st.integers(1, 4))
+    centers = []
+    for _ in range(pairs):
+        base, v = pool[rng.integers(n)], rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 1)
+        other = (base - v if rng.random() < 0.5
+                 else base + rng.choice([-1.0, 1.0], dim) * v[rng.permutation(dim)])
+        centers += [base + v, other]
+    centers = np.array(centers)
+    x = np.concatenate([pool, centers])  # the centers are rows of the pool
+    x2 = (x * x).sum(axis=1)
+    slack = seeding_slack(x)
+    c2 = np.array([c @ c for c in centers])
+    full = np.array([C._sq_dists_to(x, x2, c) for c in centers])
+    d2, near = full[0].copy(), np.zeros(x.shape[0], dtype=np.intp)
+    reach = C._seed_reach(d2, slack)
+    for j in range(1, centers.shape[0]):
+        before = near.copy()
+        scored = C._seed_rescore(x, x2, centers[:j + 1], c2[:j + 1], d2, near, reach, slack)
+        skipped = np.setdiff1d(np.arange(x.shape[0]), scored)
+        assert np.all(full[j, skipped] >= full[before[skipped], skipped])
+        assert np.all(near[skipped] == before[skipped])
+        assert np.all(np.abs(d2 - full[:j + 1].min(axis=0)) <= 2.0 * slack)
+
+
+def test_bounded_seeding_scores_a_fraction_of_a_clustered_pool():
+    """The real cost rule takes the bounded seeding on a clustered 20,000 x
+    64 pool, which scores under a quarter of the full loop's rows, and the
+    full loop on a 2,800 x 256 pool."""
+    rows = []
+    real = C._sq_dists_to
+
+    def spy(x, x2, center):
+        rows.append(x.shape[0])
+        return real(x, x2, center)
+
+    rng = np.random.default_rng(40)
+    comps = 4.0 * rng.normal(size=(20, 64))
+    x = comps[rng.integers(20, size=20_000)] + rng.normal(size=(20_000, 64))
+    with mock.patch.object(C, "_sq_dists_to", spy):
+        assert_same_seeding(x, 100, 41)
+    assert sum(rows) < 100 * 20_000 / 4
+    rows.clear()
+    x = rng.normal(size=(2_800, 256))
+    with mock.patch.object(C, "_sq_dists_to", spy):
+        assert_same_seeding(x, 350, 42)
+    assert rows == [2_800] * 350
 
 
 def test_kmeans_pool_takes_bounded_pass_and_matches_oracle():

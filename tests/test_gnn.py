@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -490,6 +492,25 @@ def test_propagate_matches_per_edge_oracle(shape, k, d, b, eps, fallback_m, metr
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=st.integers(1, 4), k=st.integers(1, 8), d=st.integers(1, 4),
+       b=st.integers(1, 13), eps=st.sampled_from([0.0, 0.3, 1.5]),
+       fallback_m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_sage_max_pools_across_query_blocks(block, k, d, b, eps, fallback_m, seed):
+    """A small block size splits the queries, and so their edges, into
+    many blocks."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, d))
+    cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=k)], [], eps=eps)
+    queries = rng.normal(size=(b, d))
+    edges = connect_prepped(queries, prep_rows(x, "cosine"), "cosine", eps, fallback_m)[1]
+    view = G.attach_view(cg, queries, edges)
+    want = propagate_oracle(view, "sage_max")
+    with mock.patch.object(G, "_BLOCK", block):
+        assert np.array_equal(G.propagate(view, "sage_max"), want)
+        assert np.array_equal(G.propagate_queries("sage_max", queries, edges, x), want)
 
 
 def test_propagate_sizes_operator_to_sending_rows(monkeypatch):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import connect_oracle, epsilon_graph_oracle, knn_graph_oracle, sim_oracle
+from oracles import (connect_from_sims_oracle, connect_oracle, epsilon_graph_oracle,
+                     knn_graph_oracle, sim_oracle)
 from seqrel import graph as G
 from seqrel.exceptions import DataError, DimensionError, ParameterError
 
@@ -128,6 +131,23 @@ def test_connect_matches_bruteforce_with_fallback():
             c = rng.normal(size=(10, 4))
             got = edges_as_tuples(G.connect_to_compressed(q, c, G.COSINE, eps, m))
             assert got == connect_oracle(q, c, G.COSINE, eps, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), b=st.integers(1, 8), m_kind=st.sampled_from(["1", "2", "K", "K+3"]),
+       eps=st.sampled_from([0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_fallback_top_m_matches_stable_sort(k, b, m_kind, eps, seed):
+    """Scores drawn from a few values, signed zeros among them, so that
+    fallback rows tie at their top; eps 1.0 sends every row to the
+    fallback."""
+    rng = np.random.default_rng(seed)
+    sims = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.3, 0.5], size=(b, k))
+    top = rng.random(b) < 0.5  # rows whose best score is a planted tie
+    sims[top, :] = np.where(rng.random((int(top.sum()), k)) < 0.5,
+                            rng.choice([-0.0, 0.0], size=(int(top.sum()), k)), -0.5)
+    m = {"1": 1, "2": 2, "K": k, "K+3": k + 3}[m_kind]
+    got = G.connect_from_sims(sims, eps, m)
+    assert edges_as_tuples(got) == edges_as_tuples(connect_from_sims_oracle(sims, eps, m))
 
 
 def test_connect_never_isolates_a_query():
