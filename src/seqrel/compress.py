@@ -31,16 +31,24 @@ inequality to accelerate k-means", ICML 2003) shows it cannot win:
   pool's points and centers. The code takes e = 16 (D + 8) eps M^2, at
   least eight times that, which also covers M itself being rounded; a
   D * tiny term covers products that underflow. The same e holds for the
-  members' own distances (einsum) and the center-to-center distances.
+  members' own distances and the center-to-center distances.
+- Update. Each iteration gathers every cluster's rows, one cluster at a
+  time. Their sum in member order gives the new center, and while they are
+  in cache the members' own distances fl(x2 - 2 x.c + c.c) to it give the
+  radius R. No regrouped copy of the pool is kept between passes.
 - Fallback. Members are scored against the kept centers in one product per
-  group. Its values and the full pass's are each within e of the exact
-  ones, so a point whose best and second-best values differ by more than
-  4e has the full pass's pick. A point within 4e takes its label from the
+  group, over its rows gathered again. Its values and the full pass's are
+  each within e of the exact ones, so a point whose best and second-best
+  values differ by more than 4e has the full pass's pick. A point within 4e takes its label from the
   full pass's own expression over its whole block of _ASSIGN_BLOCK rows,
   because on OpenBLAS a product over a subset of rows or columns of
   x @ C.T does not keep the full product's bits.
 - Cost. The bounded pass runs only when its products, plus a fixed cost
-  per group, do fewer multiply-adds than the full pass. The full pass runs
+  per group, do fewer multiply-adds than the full pass. Two rules check
+  this before any product. At the update, one kept center per group must
+  pay; otherwise the own distances are not computed. Before the pass, the
+  pairs the bound keeps (each group's size times its candidates, from the
+  radii and the center-to-center distances) must pay. The full pass runs
   otherwise, and on small pools it always does. SSE values from a bounded
   pass may differ from the full pass's in the last bits.
 
@@ -205,7 +213,6 @@ def _seed_full_d2(x, x2, centers):
 
 
 _ASSIGN_BLOCK = 8192
-_GATHER_ROWS = 64
 # the numpy calls that score one cluster in a bounded pass take about as
 # long as 2**20 multiply-adds of a large BLAS product (tens of microseconds)
 _CLUSTER_STEP_MADDS = 1 << 20
@@ -231,36 +238,30 @@ def _assign_points(x: np.ndarray, x2: np.ndarray, centers: np.ndarray):
 
 class _Groups(NamedTuple):
     """Points grouped by label: the stable sort order, the labels present,
-    where each one's run starts and its length, and the rows in that order
-    as a column-major (D, n) buffer."""
+    and where each one's run starts and its length."""
 
     labels: np.ndarray
     order: np.ndarray
     uniq: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    cols: np.ndarray
 
 
-def _group(x: np.ndarray, labels: np.ndarray) -> _Groups:
-    n, dim = x.shape
+def _group(labels: np.ndarray) -> _Groups:
     order = np.argsort(labels, kind="stable")
     uniq, starts = np.unique(labels[order], return_index=True)
-    cols = np.empty((dim, n))
-    for s in range(0, n, _GATHER_ROWS):
-        cols[:, s:s + _GATHER_ROWS] = x[order[s:s + _GATHER_ROWS]].T
-    return _Groups(labels, order, uniq, starts, np.diff(np.append(starts, n)), cols)
+    return _Groups(labels, order, uniq, starts, np.diff(np.append(starts, labels.size)))
 
 
-def _cluster_sums(groups: _Groups, k: int):
-    """Per-cluster row sums and member counts. Each segment is summed along
-    contiguous memory, which keeps the bits of
-    `np.add.reduceat(x[order], starts, axis=0)` at half its traffic."""
-    sums = np.zeros((k, groups.cols.shape[0]))
-    sums[groups.uniq] = np.add.reduceat(groups.cols, groups.starts, axis=1).T
-    counts = np.zeros(k, dtype=np.intp)
-    counts[groups.uniq] = groups.sizes
-    return sums, counts
+def _cluster_sums(x: np.ndarray, groups: _Groups):
+    """Each label present, its members' indices and rows, and the rows'
+    sum. The rows are gathered one cluster at a time and summed in member
+    order, which keeps the bits of the segment of
+    `np.add.reduceat(x[order], starts, axis=0)` without a copy of the pool."""
+    for a, start, size in zip(groups.uniq, groups.starts, groups.sizes):
+        idx = groups.order[start:start + size]
+        rows = x[idx]
+        yield a, idx, rows, np.add.reduceat(rows, [0], axis=0)[0]
 
 
 def _bounded_pays(n, dim, k, clusters, pairs):
@@ -270,23 +271,15 @@ def _bounded_pays(n, dim, k, clusters, pairs):
 
 
 def _assign_bounded(x: np.ndarray, x2: np.ndarray, centers: np.ndarray,
-                    groups: _Groups):
+                    groups: _Groups, own: np.ndarray):
     """`_assign_points`' labels, each cluster of the previous partition
     scored against only the centers the triangle bound leaves it (see the
-    module docstring). None when the bound would not save work."""
+    module docstring), given `own`, each point's value for its previous
+    center. None when the bound would not save work."""
     n, dim = x.shape
     k = centers.shape[0]
     uniq, starts, sizes = groups.uniq, groups.starts, groups.sizes
-    if not _bounded_pays(n, dim, k, uniq.size, n):  # not even with one center each
-        return None
     c2 = (centers * centers).sum(axis=1)
-    prev = groups.labels
-    own = np.empty(n)
-    for start in range(0, n, _ASSIGN_BLOCK):
-        stop = min(start + _ASSIGN_BLOCK, n)
-        mine = prev[start:stop]
-        own[start:stop] = (x2[start:stop] - 2.0 * np.einsum("ij,ij->i", x[start:stop],
-                                                           centers[mine]) + c2[mine])
     slack = (16.0 * (dim + 8) * np.finfo(np.float64).eps * max(x2.max(), c2.max())
              + dim * np.finfo(np.float64).tiny)
     radius = np.sqrt(np.maximum.reduceat(np.maximum(own[groups.order], 0.0), starts) + slack)
@@ -298,17 +291,15 @@ def _assign_bounded(x: np.ndarray, x2: np.ndarray, centers: np.ndarray,
     labels = np.empty(n, dtype=np.intp)
     best = np.empty(n)
     near = []
-    x2_sorted = x2[groups.order]
     for a, start, size, row in zip(uniq, starts, sizes, cand):
         idx = groups.order[start:start + size]
         keep = np.flatnonzero(row)
         if keep.size == 1:
             labels[idx], best[idx] = a, own[idx]
             continue
-        # (candidates, members): the cluster's rows are a slice of the
-        # column buffer, and this product shape runs fastest on it
-        d2 = (x2_sorted[None, start:start + size]
-              - 2.0 * (centers[keep] @ groups.cols[:, start:start + size]) + c2[keep, None])
+        # (candidates, members): this product shape runs fastest on the
+        # gathered rows
+        d2 = x2[None, idx] - 2.0 * (centers[keep] @ x[idx].T) + c2[keep, None]
         two = np.partition(d2, 1, axis=0)
         labels[idx], best[idx] = keep[np.argmin(d2, axis=0)], two[0]
         near.append(idx[two[1] - two[0] <= 4.0 * slack])
@@ -321,9 +312,9 @@ def _assign_bounded(x: np.ndarray, x2: np.ndarray, centers: np.ndarray,
     return labels, np.maximum(best, 0.0)
 
 
-def _assign(x, x2, centers, groups: _Groups | None):
-    if groups is not None:
-        bounded = _assign_bounded(x, x2, centers, groups)
+def _assign(x, x2, centers, groups: _Groups | None, own: np.ndarray | None):
+    if own is not None:
+        bounded = _assign_bounded(x, x2, centers, groups, own)
         if bounded is not None:
             return bounded
     return _assign_points(x, x2, centers)
@@ -348,9 +339,11 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
     triangle bound, widened by a rounding slack e, cannot rule out. A point
     whose two best candidates lie within 4e of each other is re-scored by
     the full pass over its block. The full pass runs whenever the bound
-    would not save work. SSE values may differ from the full pass's in the
-    last bits. The module docstring gives the bounds, e, eta, delta, the
-    fallbacks and the cost rules.
+    would not save work. The center update gathers one cluster's rows at a
+    time and takes the members' distances to the new center from them, so
+    no pass holds a copy of the pool. SSE values may differ from the full
+    pass's in the last bits. The module docstring gives the bounds, e, eta,
+    delta, the fallbacks and the cost rules.
     """
     n = x.shape[0]
     if not 1 <= k <= n:
@@ -358,27 +351,33 @@ def kmeans_pool(x: np.ndarray, k: int, rng: np.random.Generator,
     if k == n:
         return np.arange(n, dtype=np.intp), [0.0]
     x = np.asarray(x, dtype=np.float64)
-    x2 = (x * x).sum(axis=1)
+    x2 = np.empty(n)
+    for start in range(0, n, _ASSIGN_BLOCK):  # without a temporary the size of the pool
+        rows = x[start:start + _ASSIGN_BLOCK]
+        x2[start:start + _ASSIGN_BLOCK] = (rows * rows).sum(axis=1)
     centers = _kmeanspp(x, x2, k, rng)
     labels = np.full(n, -1, dtype=np.intp)
-    groups = None
+    groups = own = None
     trace: list[float] = []
     for _ in range(max_iters):
-        new_labels, best = _assign(x, x2, centers, groups)
+        new_labels, best = _assign(x, x2, centers, groups, own)
         trace.append(float(best.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        groups = None  # free the old row buffer before gathering the new one
-        groups = _group(x, labels)
-        sums, counts = _cluster_sums(groups, k)
-        occupied = counts > 0
-        centers[occupied] = sums[occupied] / counts[occupied, None]
-        for j in np.nonzero(~occupied)[0]:
+        groups = _group(labels)
+        # the bounded pass needs each point's value for its new center;
+        # skip it when even one center per cluster costs a full pass
+        own = np.empty(n) if _bounded_pays(n, x.shape[1], k, groups.uniq.size, n) else None
+        for a, idx, rows, total in _cluster_sums(x, groups):
+            c = centers[a] = total / idx.size
+            if own is not None:  # while the rows are in cache
+                own[idx] = x2[idx] - 2.0 * (rows @ c) + c @ c
+        for j in np.setdiff1d(np.arange(k), groups.uniq):
             farthest = int(np.argmax(_sq_dists_to(x, x2, centers[j])))
             centers[j] = x[farthest]
     else:
-        labels, _ = _assign(x, x2, centers, groups)
+        labels, _ = _assign(x, x2, centers, groups, own)
     # the iteration budget can end right after a reseed; steal the farthest
     # point from any multi-member cluster so the partition stays total
     counts = np.bincount(labels, minlength=k)
@@ -449,21 +448,21 @@ def balanced_kmeans(x: np.ndarray, labels: np.ndarray | None, k: int, *,
     members: list[np.ndarray] = []
     info: dict = {"sse": {}, "allotments": {}}
     if labels is None:
-        pool_labels, trace = kmeans_pool(x, k, rng, max_iters)
-        members.extend(np.sort(np.nonzero(pool_labels == j)[0]) for j in range(k))
-        info["sse"]["all"] = trace
-        info["allotments"]["all"] = k
-        return members, info
-    labels = np.asarray(labels)
-    classes = sorted(int(c) for c in np.unique(labels))
-    counts = {c: int((labels == c).sum()) for c in classes}
-    allot = class_allotments(counts, k, pos_ratio)
-    for c in classes:
-        idx = np.nonzero(labels == c)[0]
-        pool_labels, trace = kmeans_pool(x[idx], allot[c], rng, max_iters)
-        members.extend(np.sort(idx[pool_labels == j]) for j in range(allot[c]))
-        info["sse"][str(c)] = trace
-        info["allotments"][str(c)] = allot[c]
+        pools = [("all", None, k)]
+    else:
+        labels = np.asarray(labels)
+        classes = sorted(int(c) for c in np.unique(labels))
+        counts = {c: int((labels == c).sum()) for c in classes}
+        allot = class_allotments(counts, k, pos_ratio)
+        pools = [(str(c), np.nonzero(labels == c)[0], allot[c]) for c in classes]
+    for name, idx, size in pools:
+        pool_labels, trace = kmeans_pool(x if idx is None else x[idx], size, rng, max_iters)
+        # a stable sort leaves each cluster's members ascending
+        order = np.argsort(pool_labels, kind="stable")
+        bounds = np.cumsum(np.bincount(pool_labels, minlength=size))[:-1]
+        members.extend(np.split(order if idx is None else idx[order], bounds))
+        info["sse"][name] = trace
+        info["allotments"][name] = size
     return members, info
 
 
@@ -502,8 +501,8 @@ class AssignmentMatrix:
 def _medoid_of(x: np.ndarray, idx: np.ndarray) -> int:
     """Member with the highest cosine similarity to the cluster mean;
     ties go to the lowest original index."""
-    mean = x[idx].mean(axis=0, keepdims=True)
-    sims = similarity_matrix(x[idx], mean)[:, 0]
+    rows = x[idx]
+    sims = similarity_matrix(rows, rows.mean(axis=0, keepdims=True))[:, 0]
     return int(idx[int(np.argmax(sims))])
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -84,9 +85,9 @@ def assert_same_lloyd_run(x, k, seed, max_iters, always_bounded=True):
     steps, seeded = [], []
     group, seed_centers = C._group, C._kmeanspp
 
-    def spy(x_, labels):
+    def spy(labels):
         steps.append(labels.copy())
-        return group(x_, labels)
+        return group(labels)
 
     def seed_spy(*args):
         centers = seed_centers(*args)
@@ -169,8 +170,11 @@ def test_bounded_pass_matches_full_pass_on_equidistant_centers(dim, n, data):
             centers[j + 1] = base + rng.choice([-1.0, 1.0], dim) * v[rng.permutation(dim)]
     x2 = (x * x).sum(axis=1)
     want, _ = C._assign_points(x, x2, centers)
+    prev = rng.integers(0, k, n)
+    c2 = (centers * centers).sum(axis=1)
+    own = (x2[:, None] - 2.0 * (x @ centers.T) + c2[None, :])[np.arange(n), prev]
     with mock.patch.object(C, "_bounded_pays", lambda *a: True):
-        got, _ = C._assign_bounded(x, x2, centers, C._group(x, rng.integers(0, k, n)))
+        got, _ = C._assign_bounded(x, x2, centers, C._group(prev), own)
     assert np.array_equal(got, want)
 
 
@@ -377,14 +381,57 @@ def test_kmeans_pool_takes_bounded_pass_and_matches_oracle():
     assert any(taken)
 
 
+def test_bounded_pass_takes_radii_from_the_moved_centers():
+    """Seeded at 0 and -3, the right cluster's mean moves to 0.625, which
+    leaves its member -1 at 1.625 and nearer the left mean, -2.3. A radius
+    measured from the old center, 1, would rule the left center out for the
+    whole right cluster (S = 2.925 > 2 R), and -1 would keep its label."""
+    x = np.array([-3.0, -1.6, -1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])[:, None]
+    seeds = _kmeanspp(x, (x * x).sum(axis=1), 2, np.random.default_rng(24))
+    assert seeds[:, 0].tolist() == [0.0, -3.0]
+    assert_same_lloyd_run(x, 2, 24, 100)
+
+
+def test_bounded_kmeans_allocates_less_than_half_the_pool():
+    """Bounded seeding and bounded Lloyd passes hold one block or one
+    cluster of gathered rows at a time, never a copy of the pool or a
+    temporary its size. tracemalloc sees numpy's buffers."""
+    rng = np.random.default_rng(45)
+    comps = 4.0 * rng.normal(size=(20, 64))
+    x = comps[rng.integers(20, size=50_000)] + rng.normal(size=(50_000, 64))
+    taken = []
+    bounded = C._assign_bounded
+
+    def spy(*args):
+        out = bounded(*args)
+        taken.append(out is not None)
+        return out
+
+    with (mock.patch.object(C, "_bounded_pays", lambda *a: True),
+          mock.patch.object(C, "_assign_bounded", spy)):
+        tracemalloc.start()
+        try:
+            C.kmeans_pool(x, 20, np.random.default_rng(46), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert taken and all(taken)
+    assert peak < x.nbytes / 2, (peak, x.nbytes)
+
+
 def test_cluster_sums_keep_row_major_bits():
     rng = np.random.default_rng(14)
+    k = 8  # 2 and 4 stay empty, 5 and 6 have one member, 7 is above every label
     for length in range(1, 301):
-        labels = np.repeat([3, 0, 1], length)
+        labels = np.concatenate([np.repeat([3, 0, 1], length), [5, 6]])
         rng.shuffle(labels)
         x = rng.choice([-1.0, 1.0], (labels.size, 7)) * 10.0 ** rng.uniform(-3, 3, (labels.size, 7))
-        sums, counts = C._cluster_sums(C._group(x, labels), 5)
-        want_sums, want_counts = cluster_sums_oracle(x, labels, 5)
+        sums, counts = np.zeros((k, 7)), np.zeros(k, dtype=np.intp)
+        for a, idx, rows, total in C._cluster_sums(x, C._group(labels)):
+            assert np.all(labels[idx] == a) and np.all(np.diff(idx) > 0)
+            assert np.array_equal(rows, x[idx])
+            sums[a], counts[a] = total, idx.size
+        want_sums, want_counts = cluster_sums_oracle(x, labels, k)
         assert np.array_equal(sums, want_sums), length
         assert np.array_equal(counts, want_counts), length
 
