@@ -13,11 +13,19 @@ rows those edges reference, so a node's output depends solely on its own
 features and its in-neighbors. That is what makes single-sample scoring
 independent of the original corpus size.
 
-The conv splits in two: `propagate`, the half that needs no weights, and
-the dense half. Training propagates each view once and runs only the
-dense half in its epochs. gcn and sage_mean aggregate in one place,
-`propagate_queries`, for views and fine-tune batches alike, and sage_max
-pools in one place, `_max_pool`.
+Training's conv splits in two: `propagate`, the half that needs no
+weights, and the dense half `_dense`. Training propagates each view once
+and runs only the dense half in its epochs. gcn and sage_mean aggregate in
+one place, `propagate_queries`, for views and fine-tune batches alike, and
+sage_max pools in one place, `_max_pool`. Its batch products are fast, but
+a row's last bits can depend on the other rows.
+
+Serving runs `gnn_forward` and the head `predict_tensor`, which compute
+every target row on its own: per-target sums in (dst, src) order
+(`_sum_pool`), `_max_pool`, gat's per-target softmax and one-row products
+(`tensor.row_matmul`). So a query's output has the same bits in a block of
+queries as alone, and `gnn_forward` matches training's conv to rounding.
+Both are taped, so gradients flow through either.
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ def _params_of(model: GnnModel) -> dict[str, T.Tensor]:
 
 
 def propagate(view: GraphView, kind: str):
-    """The weight-free half of the conv over the view's target rows.
+    """The weight-free half of training's conv over the view's target rows.
 
     gcn and sage_mean: `propagate_queries` on the target rows, the edges
     that reach them and the rows that send those, scaled by degree^-½ for
@@ -161,15 +169,10 @@ def propagate(view: GraphView, kind: str):
         return x, src, dst, np.unique(dst, return_index=True)[1], view.targets
     if kind not in CONV_KINDS:
         raise ParameterError(f"unknown conv kind {kind!r}")
-    # one conv reads only the messages that reach its targets
-    target_of = np.full(view.num_nodes, -1, dtype=np.intp)
-    target_of[view.targets] = np.arange(view.targets.size, dtype=np.intp)
-    dst = target_of[view.edge_dst]
-    keep = dst >= 0
-    src = view.edge_src[keep]
+    dst, src = _target_edges(view)
     if kind == "sage_max":
-        return np.concatenate([x[view.targets], _max_pool(x, dst[keep], src,
-                                                          view.targets.size)], axis=1)
+        return np.concatenate([x[view.targets], _max_pool(x, dst, src, view.targets.size)],
+                              axis=1)
     sends = np.zeros(view.num_nodes, dtype=bool)
     sends[src] = True
     rows = np.flatnonzero(sends)
@@ -177,8 +180,17 @@ def propagate(view: GraphView, kind: str):
     if kind == "gcn":
         sending = sending / np.sqrt(view.degrees[rows].astype(np.float64))[:, None]
     return propagate_queries(kind, x[view.targets],
-                             np.stack([dst[keep], np.searchsorted(rows, src)], axis=1),
-                             sending)
+                             np.stack([dst, np.searchsorted(rows, src)], axis=1), sending)
+
+
+def _target_edges(view: GraphView):
+    """(target position, src) of the edges that reach the view's targets,
+    in the view's (dst, src) order: one conv reads only those messages."""
+    target_of = np.full(view.num_nodes, -1, dtype=np.intp)
+    target_of[view.targets] = np.arange(view.targets.size, dtype=np.intp)
+    dst = target_of[view.edge_dst]
+    keep = dst >= 0
+    return dst[keep], view.edge_src[keep]
 
 
 def query_operator(kind: str, edges: np.ndarray, b: int, k: int):
@@ -226,13 +238,25 @@ def _max_pool(rows: np.ndarray, q: np.ndarray, src: np.ndarray, b: int) -> np.nd
     return out
 
 
-def _attend(params: dict[str, T.Tensor], plan) -> T.Tensor:
-    """gat's taped attention over a plan from `propagate`, before the ReLU."""
+def _sum_pool(rows: np.ndarray, q: np.ndarray, src: np.ndarray, b: int) -> np.ndarray:
+    """For each of b targets, the sum of rows[src] over its edges (q
+    sorted), one target at a time in edge order, so that a target's sum
+    depends only on its own edges; zero rows for a target without edges."""
+    out = np.zeros((b, rows.shape[1]))
+    cuts = np.searchsorted(q, np.arange(b + 1))
+    for t in np.flatnonzero(cuts[1:] > cuts[:-1]):
+        out[t] = np.add.reduce(rows[src[cuts[t]:cuts[t + 1]]], axis=0)
+    return out
+
+
+def _attend(params: dict[str, T.Tensor], plan, product=T.matmul) -> T.Tensor:
+    """gat's taped attention over a plan from `propagate`, before the ReLU;
+    `product` computes the node projections and their logits."""
     x, src, dst, starts, targets = plan
     n = x.shape[0]
-    z = T.matmul(T.constant(x), params["w_conv"])
-    s_self = T.matmul(z, params["att_self"])
-    s_neigh = T.matmul(z, params["att_neigh"])
+    z = product(T.constant(x), params["w_conv"])
+    s_self = product(z, params["att_self"])
+    s_neigh = product(z, params["att_neigh"])
     e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)),
                      alpha=LEAKY_SLOPE)
     # max-shift per destination for stable exponentials; softmax is
@@ -246,7 +270,8 @@ def _attend(params: dict[str, T.Tensor], plan) -> T.Tensor:
 
 
 def _dense(params: dict[str, T.Tensor], kind: str, propagated) -> T.Tensor:
-    """The half of the conv that holds the weights, on `propagate`'s output."""
+    """The half of training's conv that holds the weights, on `propagate`'s
+    output."""
     width = (propagated[0] if kind == "gat" else propagated).shape[1]
     if width != params["w_conv"].rows:
         raise DimensionError(f"propagated width {width} != conv input "
@@ -257,15 +282,45 @@ def _dense(params: dict[str, T.Tensor], kind: str, propagated) -> T.Tensor:
 
 
 def gnn_forward(params: dict[str, T.Tensor], kind: str, view: GraphView) -> T.Tensor:
-    """Representations of the view's target rows, (len(targets), F_w)."""
-    return _dense(params, kind, propagate(view, kind))
+    """The serving conv: representations of the view's target rows,
+    (len(targets), F_w), each computed from its own in-edges alone.
+
+    Every kernel gives a target the bits it gets with no other target in
+    the view: per-target sums in (dst, src) order (`_sum_pool`),
+    `_max_pool`, gat's per-target softmax, and the one-row product
+    `T.row_matmul`. So a query scored in a block of queries gets the bits
+    it gets alone. Training runs `_dense(propagate(view))`, whose batch
+    products this matches to rounding; the gradients are the same."""
+    if kind == "gat":
+        return T.relu(_attend(params, propagate(view, "gat"), T.row_matmul))
+    if kind not in CONV_KINDS:
+        raise ParameterError(f"unknown conv kind {kind!r}")
+    x, b = view.features, view.targets.size
+    dst, src = _target_edges(view)
+    own = x[view.targets]
+    if kind == "sage_max":
+        agg = np.concatenate([own, _max_pool(x, dst, src, b)], axis=1)
+    else:
+        counts = np.bincount(dst, minlength=b).astype(np.float64)
+        if kind == "gcn":
+            d = counts + 1.0
+            sums = _sum_pool(x / np.sqrt(view.degrees.astype(np.float64))[:, None],
+                             dst, src, b)
+            agg = sums / np.sqrt(d)[:, None] + own * (1.0 / d)[:, None]
+        else:
+            agg = np.concatenate([own, _sum_pool(x, dst, src, b)
+                                  / np.maximum(counts, 1.0)[:, None]], axis=1)
+    return T.relu(T.row_matmul(T.constant(agg), params["w_conv"]))
 
 
 def predict_tensor(params: dict[str, T.Tensor], h: T.Tensor, task: str) -> T.Tensor:
+    """The affine head, one row at a time (`T.row_matmul`), then a row
+    softmax for classification: a row's prediction depends on that row
+    alone."""
     if h.cols != params["w_head"].rows:
         raise DimensionError(f"representation width {h.cols} != head input "
                              f"{params['w_head'].rows}")
-    logits = T.add(T.matmul(h, params["w_head"]), params["b_head"])
+    logits = T.add(T.row_matmul(h, params["w_head"]), params["b_head"])
     if task == "classification":
         return T.row_softmax(logits)
     return logits
@@ -273,11 +328,6 @@ def predict_tensor(params: dict[str, T.Tensor], h: T.Tensor, task: str) -> T.Ten
 
 def forward_view(model: GnnModel, view: GraphView) -> np.ndarray:
     return gnn_forward(_params_of(model), model.kind, view).data
-
-
-def predict_view(model: GnnModel, view: GraphView) -> np.ndarray:
-    params = _params_of(model)
-    return predict_tensor(params, gnn_forward(params, model.kind, view), model.task).data
 
 
 # ---------------------------------------------------------------------------

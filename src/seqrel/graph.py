@@ -6,6 +6,13 @@ union. Bipartite connection of query rows to a fixed set of compressed
 rows reuses the same threshold rule with a top-m fallback so that no
 query ends up isolated.
 
+Connection has one exactness rule: a query row gets the edges of
+connecting it alone, in a block of any size. A block's batch product may
+differ from a one-row product in the last bits, which could flip a
+similarity across epsilon or reorder a near tie at the fallback's top-m
+boundary; `connect_prepped` recomputes exactly those rows from their own
+one-row products.
+
 All constructions are exact O(N^2 D) with blocked matrix products; edge
 lists come out deduplicated and sorted with src < dst.
 """
@@ -154,15 +161,57 @@ def connect_from_sims(sims: np.ndarray, epsilon: float,
 def connect_prepped(x_query: np.ndarray, comp_prepped: np.ndarray, metric: str,
                     epsilon: float, fallback_m: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(similarities, bipartite edges) of query rows against compressed
-    rows already passed through prep_rows; see connect_from_sims. The
-    similarities match similarity_matrix(x_query, x_comp, metric) bit for
-    bit."""
+    rows already passed through prep_rows; see connect_from_sims.
+
+    Every row gets the edges of connecting it alone. A block of rows runs
+    one batch product, whose similarities match similarity_matrix(x_query,
+    x_comp, metric) bit for bit; its rows may differ from one-row products
+    in the last bits, so a row whose edges such a difference could change
+    (`_unsettled`) is recomputed from its own one-row product, and holds
+    that product's similarities."""
     q = prep_rows(x_query, metric)
     if q.shape[1] != comp_prepped.shape[1]:
         raise DimensionError(f"similarity width mismatch: {q.shape[1]} vs "
                              f"{comp_prepped.shape[1]}")
     sims = np.clip(q @ comp_prepped.T, -1.0, 1.0)
+    if q.shape[0] > 1:
+        for i in _unsettled(sims, epsilon, fallback_m, _order_slack(q.shape[1])):
+            sims[i] = np.clip(q[i:i + 1] @ comp_prepped.T, -1.0, 1.0)[0]
     return sims, connect_from_sims(sims, epsilon, fallback_m)
+
+
+def _order_slack(dim: int) -> float:
+    """delta: how far two summation orders of a dim-term dot product of two
+    prep_rows rows can land apart. Each order is within gamma_dim |q| |c|
+    of the exact value, gamma_dim = dim u / (1 - dim u) and u = eps/2
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
+    and the rows have norm 1 up to a few ulps; so two orders differ by
+    about dim eps at most. Like the k-means slack in compress, delta is
+    16 (dim + 8) eps, at least eight times that, plus dim * tiny for
+    products that underflow. Clipping to [-1, 1] moves no value apart."""
+    return (16.0 * (dim + 8) * np.finfo(np.float64).eps
+            + dim * np.finfo(np.float64).tiny)
+
+
+def _unsettled(sims: np.ndarray, epsilon: float, fallback_m: int,
+               delta: float) -> np.ndarray:
+    """Rows of a batch product whose edges could differ from their one-row
+    product's, which lies within delta of each of the row's similarities:
+    a similarity within delta of epsilon can fall on the other side of it,
+    and a fallback row whose m-th and (m+1)-th largest similarities lie
+    within 2 delta can pick another top m. Any other row takes the same
+    edges from both products."""
+    low, high = sims >= epsilon - delta, sims > epsilon + delta
+    # one count rules out the usual block, where no similarity is near epsilon
+    unsettled = ((low != high).any(axis=1) if np.count_nonzero(low) != np.count_nonzero(high)
+                 else np.zeros(sims.shape[0], dtype=bool))
+    m = min(fallback_m, sims.shape[1])
+    # outside the band, exceeding epsilon + delta is exceeding epsilon
+    misses = np.flatnonzero(~unsettled & ~high.any(axis=1))
+    if misses.size and m < sims.shape[1]:
+        top = -np.partition(-sims[misses], (m - 1, m), axis=1)
+        unsettled[misses[top[:, m - 1] - top[:, m] <= 2.0 * delta]] = True
+    return np.flatnonzero(unsettled)
 
 
 def connect_to_compressed(x_query: np.ndarray, x_comp: np.ndarray, metric: str,

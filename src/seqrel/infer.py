@@ -1,16 +1,27 @@
 """Low-latency scoring against a deployed artifact bundle.
 
 A bundle packages the sequence encoder (optional), the trained relation
-model, the compressed graph, and the connection rule. Scoring embeds one
+model, the compressed graph, and the connection rule. Scoring embeds each
 record (or accepts a precomputed embedding), wires it to similar compressed
 nodes, and runs one message-passing step; the original training corpus is
-never needed. Each score carries one latency, the wall time of the whole
-call. Explanations rank compressed nodes by embedding similarity and trace
-them back to representative training sequences.
+never needed.
+
+Scoring runs in blocks: `score_batch` cuts its records into blocks of
+SCORE_BLOCK, and `score` is a block of one. A block embeds its records one
+by one, connects them in one similarity product, and runs one view, one
+conv and one head. A record's output has the same bits in any block as
+alone: `graph.connect_prepped` gives each row its one-row edges, and the
+serving conv and the head compute each row from its own edges only. Each
+score carries one latency: its block's wall time divided by the block's
+size, so a single score's is the wall time of the call.
+
+Explanations rank compressed nodes by embedding similarity and trace them
+back to representative training sequences.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -20,12 +31,14 @@ from . import compress as C
 from . import data as D
 from . import encoder as E
 from . import gnn as G
+from . import tensor as T
 from .exceptions import (ArtifactError, BundleIntegrityError, DataError,
                          NumericFailureError, ParameterError, SeqrelError)
 from .graph import METRICS, connect_prepped, prep_rows
 from .ioutil import read_json, write_json_atomic
 
 BUNDLE_FORMAT_VERSION = 1
+SCORE_BLOCK = 64  # records per score_batch block
 
 
 @dataclass
@@ -42,14 +55,16 @@ class DeployBundle:
     epsilon: float
     fallback_m: int
     task: str
-    # per-call scoring reuses these; derived from cg, never serialized
+    # per-call scoring reuses these; derived from cg and gnn, never serialized
     _comp_prepped: np.ndarray = field(init=False, repr=False, compare=False)
     _comp_degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    _params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_bundle(self)
         self._comp_prepped = prep_rows(self.cg.features, self.metric)
         self._comp_degrees = self.cg.degrees()
+        self._params = {k: T.Tensor(v) for k, v in self.gnn.weights.items()}
 
 
 @dataclass
@@ -137,43 +152,22 @@ def _positive_score(b: DeployBundle, row: np.ndarray) -> float:
     return float(row[0])
 
 
-def _embed_and_connect(b: DeployBundle, record):
-    """Embed one input and wire it to the compressed nodes.
-
-    Returns (record id or None, embedding row (1, D), similarity row (K,),
-    edges). The similarity row matches similarity_matrix(h, cg.features,
-    metric) bit for bit."""
-    rid, h = _embed_input(b, record)
-    sims, edges = connect_prepped(h, b._comp_prepped, b.metric, b.epsilon, b.fallback_m)
-    return rid, h, sims[0], edges
-
-
 def score(b: DeployBundle, record) -> ScoreResult:
-    """Embed, connect, and run one relation-model step for a single input;
-    latency_s is the wall time of the whole call."""
-    start = time.perf_counter()
-    rid, h, _, edges = _embed_and_connect(b, record)
-    # an overflow surfaces as the non-finite check below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = G.predict_view(b.gnn, G.attach_view(b.cg, h, edges,
-                                                  comp_degrees=b._comp_degrees))
-    if not np.isfinite(out[0]).all():
-        raise NumericFailureError(f"relation model output is not finite: {out[0].tolist()}")
-    return ScoreResult(id=rid, score=_positive_score(b, out[0]),
-                       output=out[0].tolist(),
-                       latency_s=time.perf_counter() - start)
+    """Embed, connect, and run one relation-model step for a single input:
+    a block of one; latency_s is the block's wall time."""
+    return _score_block(b, [record])[0]
 
 
 def score_batch(b: DeployBundle, records) -> tuple:
-    """Score records one by one; returns (results, latency aggregate with
-    count, mean_s and p99_s over the per-record latency_s)."""
+    """Score any iterable of records in blocks of SCORE_BLOCK; returns
+    (results, latency aggregate with count, mean_s and p99_s over the
+    per-record latency_s). A record's latency_s is its block's wall time
+    divided by the block's size. An error names the offending record, by
+    id or as #<position>."""
+    records = iter(records)
     results = []
-    for idx, record in enumerate(records):
-        try:
-            results.append(score(b, record))
-        except SeqrelError as exc:
-            rid = record.id if isinstance(record, D.Record) else f"#{idx}"
-            raise type(exc)(f"record {rid}: {exc}") from exc
+    while block := list(itertools.islice(records, SCORE_BLOCK)):
+        results += _score_block(b, block, first=len(results))
     if not results:
         return results, {"count": 0, "mean_s": 0.0, "p99_s": 0.0}
     lat = np.array([r.latency_s for r in results])
@@ -182,12 +176,58 @@ def score_batch(b: DeployBundle, records) -> tuple:
     return results, agg
 
 
+def _score_block(b: DeployBundle, records: list, first: "int | None" = None) -> list:
+    """Score a block: embed each record, connect the block in one product,
+    then one view, one conv and one head for all of it. Each row comes out
+    with the bits it gets in a block of one: connect gives every row its
+    one-row edges, and the conv and the head compute each row on its own
+    (`G.gnn_forward`). `first` is the batch position of records[0]; with
+    it, an error names the offending record, and a block's embedding errors
+    surface before its output errors."""
+    start = time.perf_counter()
+    ids, rows = [], []
+    for i, record in enumerate(records):
+        try:
+            rid, h = _embed_input(b, record)
+        except SeqrelError as exc:
+            raise _named(exc, record, first, i)
+        ids.append(rid)
+        rows.append(h)
+    x = np.concatenate(rows)
+    _, edges = connect_prepped(x, b._comp_prepped, b.metric, b.epsilon, b.fallback_m)
+    # an overflow surfaces as the non-finite check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        view = G.attach_view(b.cg, x, edges, comp_degrees=b._comp_degrees)
+        out = G.predict_tensor(b._params, G.gnn_forward(b._params, b.gnn.kind, view),
+                               b.task).data
+    if not np.isfinite(out).all():
+        i = int(np.argmin(np.isfinite(out).all(axis=1)))
+        exc = NumericFailureError(f"relation model output is not finite: {out[i].tolist()}")
+        raise _named(exc, records[i], first, i)
+    latency = (time.perf_counter() - start) / len(records)
+    return [ScoreResult(id=rid, score=_positive_score(b, row), output=row.tolist(),
+                        latency_s=latency) for rid, row in zip(ids, out)]
+
+
+def _named(exc: SeqrelError, record, first: "int | None", i: int) -> SeqrelError:
+    """exc as raised for a single score (first None), else prefixed with
+    the record's id, or its batch position first + i."""
+    if first is None:
+        return exc
+    rid = record.id if isinstance(record, D.Record) else f"#{first + i}"
+    named = type(exc)(f"record {rid}: {exc}")
+    named.__cause__ = exc
+    return named
+
+
 def explain(b: DeployBundle, record, top_r: int = 5) -> list:
     """Rank compressed nodes by similarity to the input's embedding and trace
     each to its representative training sequence."""
     if top_r < 1:
         raise ParameterError(f"top_r must be at least 1, got {top_r}")
-    _, _, sims, edges = _embed_and_connect(b, record)
+    _, h = _embed_input(b, record)
+    sims, edges = connect_prepped(h, b._comp_prepped, b.metric, b.epsilon, b.fallback_m)
+    sims = sims[0]
     connected = set(edges[:, 1].tolist())
     order = np.argsort(-sims, kind="stable")[:min(top_r, b.cg.k)]
     return [Explanation(cluster=int(j), representative_id=b.cg.medoid_ids[j],

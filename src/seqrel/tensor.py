@@ -1,10 +1,10 @@
 """Dense 2-D float64 matrices with a reverse-mode gradient tape.
 
-The tape covers exactly the primitives the pipeline composes: matmul,
-broadcast add/sub, hadamard/column products, relu, leaky relu, exp,
-row softmax, row gather, segment sums, the
-LSTM scan `lstm_scan` (one node for a whole batch of sequences), and the
-two losses, picked by name from `LOSSES`. Everything is float64; no NaN
+The tape covers exactly the primitives the pipeline composes: matmul and
+its one-row-at-a-time form `row_matmul`, broadcast add/sub,
+hadamard/column products, relu, leaky relu, exp, row softmax, row gather,
+segment sums, the LSTM scan `lstm_scan` (one node for a whole batch of
+sequences), and the two losses, picked by name from `LOSSES`. Everything is float64; no NaN
 or Inf may escape a loss.
 
 Every trainer shares the same two parts: `Adam.minimize` is one training
@@ -137,6 +137,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    return _make(data, [
+        (a, lambda g: g @ b.data.T),
+        (b, lambda g: a.data.T @ g),
+    ])
+
+
+def row_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """matmul one row at a time: row i is the one-row product a[i] @ b, so
+    its bits do not depend on the other rows of a, where a batch product's
+    may. The gradient is matmul's."""
+    if a.cols != b.rows:
+        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    data = np.matmul(a.data[:, None, :], b.data)[:, 0]
     return _make(data, [
         (a, lambda g: g @ b.data.T),
         (b, lambda g: a.data.T @ g),

@@ -11,7 +11,9 @@ linear convs aggregated through one dense operator,
 earlier, unhoisted forms of code that now takes a shortcut,
 `finetune_oracle` is fine-tuning with every conv propagating a view,
 `connect_from_sims_oracle` is the fallback top-m as a stable sort of the
-whole row, and `lloyd_oracle`, `_kmeanspp` and `cluster_sums_oracle` are
+whole row, `taped_forward_oracle` is training's conv, which the serving
+conv matches to rounding, `predict_view` is the served prediction on a
+hand-made view, and `lloyd_oracle`, `_kmeanspp` and `cluster_sums_oracle` are
 `compress.kmeans_pool`, its seeding and its cluster sums before the
 triangle bound: every assignment and every seeding step a full pass over
 the pool. `parameter`, `sigmoid`, `tanh` and `concat_cols` are tape
@@ -302,6 +304,21 @@ def propagate_oracle(view, kind):
     else:
         neigh = T.segment_reduce(np.maximum, x[src], dst_t, n_t)
     return np.concatenate([x[view.targets], neigh], axis=1)
+
+
+def taped_forward_oracle(params, kind, view):
+    """Training's taped conv on a view, `gnn._dense(gnn.propagate(view))`,
+    with batch products: the serving conv `gnn.gnn_forward` matches it to
+    rounding."""
+    return G._dense(params, kind, G.propagate(view, kind))
+
+
+def predict_view(model, view):
+    """A model's served predictions for a view's targets: `gnn.gnn_forward`
+    and the head."""
+    params = {k: T.Tensor(v) for k, v in model.weights.items()}
+    return G.predict_tensor(params, G.gnn_forward(params, model.kind, view),
+                            model.task).data
 
 
 def full_attach_view_oracle(cg, x_query, connect_edges):

@@ -11,7 +11,9 @@ from oracles import (
     full_attach_view_oracle,
     gnn_forward_oracle,
     per_epoch_training_oracle,
+    predict_view,
     propagate_oracle,
+    taped_forward_oracle,
 )
 from seqrel import gnn as G
 from seqrel.compress import CompressedGraph
@@ -119,12 +121,12 @@ def test_attach_matches_manual_two_node_view(kind):
     cg = make_cg(xc, [[0.0, 1.0]], [])
     query = xc.copy()
     attach = G.attach_view(cg, query, np.array([[0, 0]]))
-    via_attach = G.predict_view(m, attach)
+    via_attach = predict_view(m, attach)
     manual = G.GraphView(
         features=np.concatenate([xc, query]),
         edge_src=np.array([0]), edge_dst=np.array([1]),
         degrees=np.array([1, 2]), targets=np.array([1]))
-    via_manual = G.predict_view(m, manual)
+    via_manual = predict_view(m, manual)
     assert np.array_equal(via_attach, via_manual)
 
 
@@ -135,8 +137,8 @@ def test_connect_edge_order_is_irrelevant(kind):
     q = rng.normal(size=(2, 3))
     edges = np.array([[0, 2], [0, 0], [1, 3], [1, 1], [0, 1]])
     m = model_for(kind, seed=6)
-    a = G.predict_view(m, G.attach_view(cg, q, edges))
-    b = G.predict_view(m, G.attach_view(cg, q, edges[::-1]))
+    a = predict_view(m, G.attach_view(cg, q, edges))
+    b = predict_view(m, G.attach_view(cg, q, edges[::-1]))
     assert np.array_equal(a, b)
 
 
@@ -147,16 +149,16 @@ def test_batch_composition_does_not_change_predictions(kind):
     queries = rng.normal(size=(3, 3))
     edges = np.array([[0, 0], [0, 3], [1, 1], [2, 2], [2, 4]])
     m = model_for(kind, seed=8)
-    full = G.predict_view(m, G.attach_view(cg, queries, edges))
+    full = predict_view(m, G.attach_view(cg, queries, edges))
     # same queries, permuted within the batch
     perm = np.array([2, 0, 1])
     remap = {0: 1, 1: 2, 2: 0}
     p_edges = np.array([[remap[q], j] for q, j in edges.tolist()])
-    permuted = G.predict_view(m, G.attach_view(cg, queries[perm], p_edges))
+    permuted = predict_view(m, G.attach_view(cg, queries[perm], p_edges))
     assert np.array_equal(permuted, full[perm])
     # and alone in a batch of one
-    solo = G.predict_view(m, G.attach_view(cg, queries[1:2], np.array([[0, 1]])))
-    assert np.allclose(solo[0], full[1], atol=1e-12)
+    solo = predict_view(m, G.attach_view(cg, queries[1:2], np.array([[0, 1]])))
+    assert np.array_equal(solo[0], full[1])
 
 
 def test_gat_attention_weights_sum_to_one():
@@ -376,7 +378,7 @@ def test_compact_view_matches_full_view(k, d, b, seed):
     assert compact.num_nodes == np.unique(edges[:, 1]).size + b
     for kind in G.CONV_KINDS:
         m = model_for(kind, in_dim=d, seed=seed % 1000)
-        got, want = G.predict_view(m, compact), G.predict_view(m, full)
+        got, want = predict_view(m, compact), predict_view(m, full)
         if kind == "gat":
             assert np.abs(got - want).max() <= 1e-12
         else:
@@ -579,3 +581,104 @@ def test_operator_path_loss_gradients(kind, task):
     params = {k: T.Tensor(v) for k, v in m.weights.items()}
     assert T.finite_diff_check(lambda tape: G._loss(params, m, prop, target, loss_kind),
                                list(params.values())) <= 1e-4
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(["compressed", "query", "hand-built"]),
+       k=st.integers(1, 10), d=st.integers(1, 5), b=st.integers(1, 6),
+       eps=st.sampled_from([-0.5, 0.0, 0.3, 0.8, 1.5]), fallback_m=st.integers(1, 3),
+       metric=st.sampled_from(["cosine", "pearson"]), seed=st.integers(0, 2**32 - 1))
+@example(shape="query", k=1, d=2, b=1, eps=0.0, fallback_m=1, metric="cosine", seed=0)
+@example(shape="query", k=1, d=3, b=4, eps=1.5, fallback_m=2, metric="pearson", seed=1)
+@example(shape="query", k=8, d=4, b=1, eps=1.5, fallback_m=3, metric="cosine", seed=2)
+@example(shape="query", k=6, d=3, b=5, eps=1.5, fallback_m=1, metric="cosine", seed=3)
+def test_serving_conv_matches_taped_training_conv(shape, k, d, b, eps, fallback_m, metric,
+                                                  seed):
+    """The serving conv against training's `_dense(propagate(view))`, for
+    every conv; eps 1.5 sends every query to the fallback."""
+    rng = np.random.default_rng(seed)
+    if shape == "hand-built":
+        view = hand_built_view(rng, k, d)
+    else:
+        x = rng.normal(size=(k, d)) * rng.uniform(0.1, 5.0)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=k)],
+                     [p for p in pairs if rng.random() < 0.3], metric=metric, eps=eps)
+        if shape == "compressed":
+            view = G.compressed_view(cg)
+        else:
+            queries = rng.normal(size=(b, d))
+            edges = connect_prepped(queries, prep_rows(x, metric), metric, eps, fallback_m)[1]
+            view = G.attach_view(cg, queries, edges)
+    for kind in G.CONV_KINDS:
+        m = model_for(kind, in_dim=d, seed=seed % 1000)
+        params = {key: T.Tensor(v) for key, v in m.weights.items()}
+        got = G.gnn_forward(params, kind, view).data
+        want = taped_forward_oracle(params, kind, view).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+# row independence of the serving kernels at the benchmark's shapes: a
+# block of 64 queries, embedding width 256, hidden width 32
+def serving_case(rng, b=64, k=500, d=256):
+    """Prototype rows and a block of b targets, each with its own sorted
+    run of 0-40 edges (q, src)."""
+    rows = rng.normal(size=(k, d))
+    counts = rng.integers(0, 41, size=b)
+    q = np.repeat(np.arange(b), counts)
+    src = np.concatenate([np.sort(rng.integers(0, k, size=c)) for c in counts])
+    return rows, q, src, counts
+
+
+def test_row_matmul_gives_a_row_its_bits_alone():
+    rng = np.random.default_rng(40)
+    for shape in ((256, 32), (512, 32), (32, 2), (32, 1), (16, 1)):
+        a, w = T.Tensor(rng.normal(size=(64, shape[0]))), T.Tensor(rng.normal(size=shape))
+        block = T.row_matmul(a, w).data
+        for i in range(64):
+            assert np.array_equal(block[i], T.row_matmul(T.Tensor(a.data[i:i + 1]), w).data[0])
+            assert np.array_equal(block[i], (a.data[i:i + 1] @ w.data)[0])
+
+
+@pytest.mark.parametrize("task,out", [("classification", 2), ("regression", 1)])
+def test_head_gives_a_row_its_bits_alone(task, out):
+    rng = np.random.default_rng(41)
+    m = model_for("gcn", in_dim=256, hidden=32, out=out, task=task, seed=42)
+    m.weights["b_head"] = rng.normal(size=(1, out))
+    h = rng.normal(size=(64, 32)) * 3.0
+    block = head(m, h)
+    for i in range(64):
+        assert np.array_equal(block[i], head(m, h[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("pool", [G._sum_pool, G._max_pool], ids=["sum", "max"])
+def test_target_pools_give_a_target_its_bits_alone(pool):
+    rng = np.random.default_rng(43)
+    rows, q, src, counts = serving_case(rng)
+    block = pool(rows, q, src, counts.size)
+    cuts = np.concatenate([[0], np.cumsum(counts)])
+    for t in range(counts.size):
+        own = src[cuts[t]:cuts[t + 1]]
+        assert np.array_equal(block[t], pool(rows, np.zeros(own.size, dtype=np.intp),
+                                             own, 1)[0])
+
+
+@pytest.mark.parametrize("kind", G.CONV_KINDS)
+def test_serving_conv_gives_a_query_its_bits_alone(kind):
+    """The whole serving conv, gat's per-target softmax included, on a block
+    of 64 queries against 500 prototypes, and on each query alone."""
+    rng = np.random.default_rng(44)
+    x, _, src, counts = serving_case(rng)
+    pairs = rng.integers(0, 500, size=(300, 2))
+    cg = make_cg(x, np.eye(2)[rng.integers(0, 2, size=500)],
+                 np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0))
+    queries = rng.normal(size=(counts.size, 256))
+    edges = np.unique(np.column_stack([np.repeat(np.arange(counts.size), counts), src]),
+                      axis=0)
+    m = model_for(kind, in_dim=256, hidden=32, seed=45)
+    block = predict_view(m, G.attach_view(cg, queries, edges))
+    for i in range(counts.size):
+        own = edges[edges[:, 0] == i] - [i, 0]
+        alone = predict_view(m, G.attach_view(cg, queries[i:i + 1], own))
+        assert np.array_equal(block[i], alone[0])

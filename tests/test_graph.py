@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (connect_from_sims_oracle, connect_oracle, epsilon_graph_oracle,
@@ -148,6 +148,76 @@ def test_fallback_top_m_matches_stable_sort(k, b, m_kind, eps, seed):
     m = {"1": 1, "2": 2, "K": k, "K+3": k + 3}[m_kind]
     got = G.connect_from_sims(sims, eps, m)
     assert edges_as_tuples(got) == edges_as_tuples(connect_from_sims_oracle(sims, eps, m))
+
+
+def one_row_edges(x_query, comp_prepped, metric, eps, m):
+    """Every query row connected alone, its edges renumbered to its row."""
+    out = [np.zeros((0, 2), dtype=np.int64)]
+    for i in range(x_query.shape[0]):
+        edges = G.connect_prepped(x_query[i:i + 1].copy(), comp_prepped, metric, eps, m)[1]
+        edges[:, 0] = i
+        out.append(edges)
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric=st.sampled_from([G.COSINE, G.PEARSON]), k=st.integers(2, 12),
+       d=st.integers(2, 48), b=st.integers(2, 8), m_kind=st.sampled_from(["1", "2", "K"]),
+       plant=st.sampled_from(["epsilon", "tie"]), ulps=st.integers(-3, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(metric=G.COSINE, k=12, d=48, b=8, m_kind="1", plant="epsilon", ulps=0, seed=0)
+@example(metric=G.PEARSON, k=12, d=48, b=8, m_kind="2", plant="tie", ulps=0, seed=1)
+@example(metric=G.COSINE, k=5, d=32, b=4, m_kind="K", plant="tie", ulps=1, seed=2)
+def test_blocked_connect_gives_one_row_edges(metric, k, d, b, m_kind, plant, ulps, seed):
+    """Planted cases where a batch product's last bits could change edges.
+    epsilon: epsilon sits at a similarity where the batch and the one-row
+    products disagree, so that exactly one of them exceeds it (or a few ulps
+    from a similarity where they agree). tie: a prototype is a near copy
+    (ulps = 0: an exact copy) of some row's m-th best one, and epsilon lies
+    above every similarity, so every row falls back with a near tie at its
+    top-m boundary."""
+    rng = np.random.default_rng(seed)
+    comp = rng.normal(size=(k, d))
+    x = rng.normal(size=(b, d))
+    m = {"1": 1, "2": 2, "K": k}[m_kind]
+    q = G.prep_rows(x, metric)
+    if plant == "tie":
+        i = int(rng.integers(b))
+        order = np.argsort(-(q[i:i + 1] @ G.prep_rows(comp, metric).T)[0], kind="stable")
+        if m < k:
+            comp[order[rng.integers(m, k)]] = comp[order[m - 1]] * (1.0 + ulps * 2.0 ** -50)
+    prepped = G.prep_rows(comp, metric)
+    block = np.clip(q @ prepped.T, -1.0, 1.0)
+    alone = np.clip(np.concatenate([q[i:i + 1] @ prepped.T for i in range(b)]), -1.0, 1.0)
+    if plant == "tie":
+        eps = 1.5
+    else:
+        differ = np.flatnonzero(block != alone)
+        if differ.size:
+            flat = int(rng.choice(differ))
+            eps = min(block.flat[flat], alone.flat[flat])
+        else:
+            eps = alone.flat[int(rng.integers(block.size))]
+            for _ in range(abs(ulps)):
+                eps = np.nextafter(eps, np.copysign(np.inf, ulps))
+    got = G.connect_prepped(x, prepped, metric, float(eps), m)[1]
+    assert np.array_equal(got, one_row_edges(x, prepped, metric, float(eps), m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from([G.COSINE, G.PEARSON]), b=st.integers(1, 70),
+       d=st.integers(1, 300), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]),
+       seed=st.integers(0, 2**32 - 1))
+def test_prep_rows_of_a_block_is_prep_rows_of_each_row(metric, b, d, scale, seed):
+    """Rows scaled in a block keep the bits they get alone, so a block's
+    one-row products are the one-row path's; zero and constant rows too."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, d)) * scale
+    x[rng.random(b) < 0.1] = 0.0
+    x[rng.random(b) < 0.1] = 3.0
+    block = G.prep_rows(x, metric)
+    for i in range(b):
+        assert np.array_equal(block[i], G.prep_rows(x[i:i + 1].copy(), metric)[0])
 
 
 def test_connect_never_isolates_a_query():

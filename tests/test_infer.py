@@ -123,10 +123,54 @@ def test_score_batch_matches_single_and_permutes():
     assert [r.output for r in perm_results] == [r.output for r in results[::-1]]
 
 
+def conv_bundle(kind, task, seed=0):
+    """toy_bundle's corpus under any conv and either task."""
+    x, labels, ids = toy_corpus(seed=seed)
+    y = labels if task == D.CLASSIFICATION else x[:, 0] * 0.5
+    cg, _ = C.compress_graph(x, y, ids, k=6, mode="centroid", task=task, metric="cosine",
+                             epsilon=0.3, pos_ratio=0.5 if task == D.CLASSIFICATION else None,
+                             rng=np.random.default_rng(seed))
+    gnn = G.init_gnn(kind, task, x.shape[1], 6, cg.labels.shape[1],
+                     np.random.default_rng(seed + 1))
+    G.train_on_compressed(gnn, cg, epochs=10)
+    return I.build_bundle(None, gnn, cg, fallback_m=2), x
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default block", "block of 3"])
+@pytest.mark.parametrize("task", [D.CLASSIFICATION, D.REGRESSION])
+@pytest.mark.parametrize("kind", G.CONV_KINDS)
+def test_blocked_batch_rows_equal_single_scores(kind, task, block, monkeypatch):
+    """Every row of a batch, over whole and partial blocks, is the single
+    score of its record, bit for bit; a permuted batch (handed over as a
+    generator) permutes them."""
+    if block is not None:
+        monkeypatch.setattr(I, "SCORE_BLOCK", block)
+    bundle, x = conv_bundle(kind, task)
+    rng = np.random.default_rng(9)
+    queries = list(np.concatenate([x, rng.normal(size=(150 - len(x), 4)) * 3.0]))
+    results, agg = I.score_batch(bundle, queries)
+    assert agg["count"] == 150
+    assert [r.output for r in results] == [I.score(bundle, q).output for q in queries]
+    perm = rng.permutation(150)
+    permuted, _ = I.score_batch(bundle, (queries[i] for i in perm))
+    assert [r.output for r in permuted] == [results[i].output for i in perm]
+
+
 def test_score_batch_reports_offending_record():
     bundle, x, _, _ = toy_bundle()
     with pytest.raises(BundleIntegrityError, match="#1"):
         I.score_batch(bundle, [x[0], np.ones(9)])
+    # in the middle of a block, and of a later block
+    for at in (I.SCORE_BLOCK // 2, I.SCORE_BLOCK + 5):
+        wide = [x[i % 24] for i in range(2 * I.SCORE_BLOCK)]
+        wide[at] = np.ones(9)
+        with pytest.raises(BundleIntegrityError, match=f"record #{at}: embedding has width 9") as err:
+            I.score_batch(bundle, wide)
+        assert err.value.exit_code == 3
+        nan = [x[i % 24] for i in range(2 * I.SCORE_BLOCK)]
+        nan[at] = np.full(4, np.nan)
+        with pytest.raises(DataError, match=f"record #{at}: embedding has non-finite"):
+            I.score_batch(bundle, nan)
 
 
 def test_scoring_is_read_only(tmp_path):
@@ -192,6 +236,22 @@ def test_non_finite_output_raises_numeric_failure(tmp_path):
             I.score(bundle, record)
         with pytest.raises(NumericFailureError, match="record q"):
             I.score_batch(bundle, [record])
+    assert err.value.exit_code == 4
+    # one overflowing row in the middle of a block: weights times 1e80 keep
+    # the other rows finite, a query scaled by 1e150 overflows the head
+    toy, x, _, _ = toy_bundle()
+    big = G.GnnModel(**{**vars(toy.gnn), "weights": {
+        k: v * 1e80 if k in ("w_conv", "w_head") else v for k, v in toy.gnn.weights.items()}})
+    bundle = I.build_bundle(None, big, toy.cg)
+    queries = [x[i % 24] for i in range(I.SCORE_BLOCK)]
+    assert all(np.isfinite(r.output).all() for r in I.score_batch(bundle, queries)[0])
+    at = I.SCORE_BLOCK // 2
+    queries[at] = x[at % 24] * 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailureError, match=f"record #{at}: relation model output "
+                                                      "is not finite") as err:
+            I.score_batch(bundle, queries)
     assert err.value.exit_code == 4
 
 
